@@ -175,7 +175,7 @@ def test_static_planning_throughput(benchmark):
     # the scheduler entry below is compared against.
     plan = benchmark.pedantic(lambda: build_plan(MULTICORE), rounds=3,
                               iterations=1)
-    offered = plan.n_served + len(plan.rejected) + len(plan.shed)
+    offered = plan.n_served + plan.n_rejected + len(plan.shed)
     assert plan.epochs == 0
     _record("plan:static-4w", benchmark, offered)
 
@@ -188,7 +188,7 @@ def test_sched_policy_planning_throughput(benchmark):
     # control loop cannot quietly become super-linear in the queue.
     plan = benchmark.pedantic(lambda: build_plan(SCHED), rounds=3,
                               iterations=1)
-    offered = plan.n_served + len(plan.rejected) + len(plan.shed)
+    offered = plan.n_served + plan.n_rejected + len(plan.shed)
     assert plan.epochs > 0
     _record("plan:slo_adaptive-4w", benchmark, offered,
             migrations=plan.migrations, shed=len(plan.shed))

@@ -3,9 +3,9 @@
 
 Drives the full scale target from the ROADMAP — one million requests
 from 64 Zipfian clients over 256 worker slots — through the streaming
-columnar pipeline: vectorized traffic synthesis, the static planner's
-columnar fast path, chunked trace emission, marked fast-path replay, and
-column-store latency accounting.  Prints per-stage wall times and
+columnar pipeline: vectorized traffic synthesis, the row-index dispatch
+loop every scheduling policy plans through, chunked trace emission,
+marked fast-path replay, and column-store latency accounting.  Prints per-stage wall times and
 enforces a peak-RSS ceiling so the scale capability (and its memory
 behaviour) cannot silently regress.
 

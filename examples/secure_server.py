@@ -78,7 +78,7 @@ def main() -> None:
     frequency = engine.config.processor.frequency_hz
     print(f"\n{plan.n_served} requests served across {N_CLIENTS} isolated "
           f"clients ({plan.coalesced} coalesced into shared windows, "
-          f"{len(plan.rejected)} rejected):")
+          f"{plan.n_rejected} rejected):")
     print(f"  {'scheme':12s} {'overhead':>9s} {'p50':>9s} {'p99':>9s} "
           f"{'throughput':>12s}")
     for name in schemes:

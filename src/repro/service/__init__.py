@@ -30,12 +30,11 @@ This package makes that server an executable, measurable workload:
 See ``docs/SERVICE.md`` for the architecture and the metric contract.
 """
 
-from .batching import (Batch, CalibratedClock, DispatchClock, NominalClock,
+from .batching import (CalibratedClock, DispatchClock, NominalClock,
                        ServicePlan, build_plan)
 from .closed import (build_plan_keyed, generate_service_trace_keyed,
                      scheme_clock)
-from .latency import (ServiceSummary, account, account_sharded,
-                      served_batches)
+from .latency import ServiceSummary, account, account_sharded
 from .params import ARRIVALS, BATCHINGS, DISPATCHES, PATTERNS, POLICIES, \
     ServiceParams, nominal_request_cycles
 from .sched import (SCHED_POLICIES, SchedAccounting, SchedPolicy,
@@ -44,13 +43,12 @@ from .sched import (SCHED_POLICIES, SchedAccounting, SchedPolicy,
 from .server import BatchMark, ServiceWorkload, batch_boundaries, \
     batch_markers, generate_service_trace, worker_slots
 from .shard import TraceShard, shard_by_worker
-from .traffic import (Request, RequestColumns, generate_request_columns,
-                      generate_requests, rate_multiplier)
+from .traffic import (RequestColumns, generate_request_columns,
+                      rate_multiplier)
 
 __all__ = [
     "ARRIVALS",
     "BATCHINGS",
-    "Batch",
     "BatchMark",
     "CalibratedClock",
     "DISPATCHES",
@@ -58,7 +56,6 @@ __all__ = [
     "NominalClock",
     "PATTERNS",
     "POLICIES",
-    "Request",
     "RequestColumns",
     "SCHED_POLICIES",
     "SchedAccounting",
@@ -77,7 +74,6 @@ __all__ = [
     "build_plan",
     "build_plan_keyed",
     "generate_request_columns",
-    "generate_requests",
     "generate_service_trace",
     "generate_service_trace_keyed",
     "jain_index",
@@ -87,7 +83,6 @@ __all__ = [
     "rate_multiplier",
     "register_policy",
     "scheme_clock",
-    "served_batches",
     "shard_by_worker",
     "worker_slots",
 ]

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -55,8 +55,7 @@ from .params import ServiceParams, nominal_request_cycles
 from .sched.policy import (REJECT, SHED, SchedPolicy, SchedState,
                            policy_by_name)
 from .arrivals import pattern_by_name
-from .traffic import (Request, RequestColumns, generate_request_columns,
-                      generate_requests)
+from .traffic import RequestColumns, generate_request_columns
 
 
 class DispatchClock:
@@ -112,63 +111,33 @@ class CalibratedClock(DispatchClock):
         return self.window_cycles + self.per_request_cycles * n_requests
 
 
-@dataclass(frozen=True)
-class Batch:
-    """One permission window: same-client requests served back to back."""
-
-    index: int
-    client: int
-    requests: Tuple[Request, ...]
-    #: Worker thread slot (0-based) this batch is assigned to.
-    worker: int
-
-
 class PlanColumns:
     """A schedule as flat arrays over a :class:`RequestColumns` store.
 
     Batches are a CSR layout: ``member_rows`` holds row indices into
     ``requests`` in batch-member order, ``batch_starts`` the per-batch
     offsets (``len(batch_starts) == n_batches + 1``);
-    ``batch_clients``/``batch_workers`` are parallel per-batch columns
-    and ``rejected_rows`` the queue-full drops in arrival order.  The
-    streaming server and the latency accounting consume this directly —
-    no per-request objects on the million-request path.
+    ``batch_clients``/``batch_workers`` are parallel per-batch columns.
+    ``rejected_rows`` are the queue-full drops and ``shed_rows`` the
+    policy's SLO sheds, each in offer order.  Every row of ``requests``
+    lands in exactly one of member/rejected/shed rows.
     """
 
     __slots__ = ("requests", "member_rows", "batch_starts",
-                 "batch_clients", "batch_workers", "rejected_rows")
+                 "batch_clients", "batch_workers", "rejected_rows",
+                 "shed_rows")
 
     def __init__(self, requests: RequestColumns, member_rows: np.ndarray,
                  batch_starts: np.ndarray, batch_clients: np.ndarray,
-                 batch_workers: np.ndarray, rejected_rows: np.ndarray):
+                 batch_workers: np.ndarray, rejected_rows: np.ndarray,
+                 shed_rows: np.ndarray):
         self.requests = requests
         self.member_rows = member_rows
         self.batch_starts = batch_starts
         self.batch_clients = batch_clients
         self.batch_workers = batch_workers
         self.rejected_rows = rejected_rows
-
-    @classmethod
-    def from_objects(cls, batches: Sequence[Batch],
-                     rejected: Sequence[Request]) -> "PlanColumns":
-        """Columnarize an object-built plan (plugin planners, tests)."""
-        members = [request for batch in batches for request in batch.requests]
-        store = RequestColumns.from_requests(members + list(rejected))
-        sizes = np.fromiter((len(batch.requests) for batch in batches),
-                            dtype=np.int64, count=len(batches))
-        starts = np.zeros(len(batches) + 1, dtype=np.int64)
-        np.cumsum(sizes, out=starts[1:])
-        return cls(
-            requests=store,
-            member_rows=np.arange(len(members), dtype=np.int64),
-            batch_starts=starts,
-            batch_clients=np.fromiter((b.client for b in batches),
-                                      dtype=np.int64, count=len(batches)),
-            batch_workers=np.fromiter((b.worker for b in batches),
-                                      dtype=np.int64, count=len(batches)),
-            rejected_rows=np.arange(len(members),
-                                    len(members) + len(rejected),
-                                    dtype=np.int64))
+        self.shed_rows = shed_rows
 
     @property
     def n_batches(self) -> int:
@@ -179,37 +148,14 @@ class PlanColumns:
 
 
 class ServicePlan:
-    """The full, deterministic schedule of one service run.
+    """The full, deterministic schedule of one service run: the
+    :class:`PlanColumns` plus the control loop's counters."""
 
-    Columnar at heart: plans built by the dispatch simulation carry a
-    :class:`PlanColumns` and materialize the historical
-    ``batches``/``rejected`` object lists only on first access (tests,
-    plugin consumers).  Plans may equally be constructed object-first —
-    ``ServicePlan(params=..., batches=[...])`` — in which case
-    :attr:`columns` is derived lazily instead.  Either way the two views
-    hold identical values.
-    """
-
-    def __init__(self, params: ServiceParams,
-                 batches: Optional[List[Batch]] = None,
-                 rejected: Optional[List[Request]] = None,
-                 shed: Optional[List[Request]] = None,
+    def __init__(self, params: ServiceParams, columns: PlanColumns, *,
                  migrations: int = 0, epochs: int = 0,
-                 loop_iterations: int = 0, *,
-                 columns: Optional[PlanColumns] = None):
+                 loop_iterations: int = 0):
         self.params = params
-        self._columns = columns
-        self._batches = list(batches) if batches is not None else None
-        self._rejected = list(rejected) if rejected is not None else None
-        if columns is None:
-            if self._batches is None:
-                self._batches = []
-            if self._rejected is None:
-                self._rejected = []
-        #: Requests the scheduling policy's SLO valve shed (open loop:
-        #: the request is dropped; closed loop: the deferred retry
-        #: already happened inside the loop, this records the deferral).
-        self.shed: List[Request] = list(shed) if shed is not None else []
+        self.columns = columns
         #: Client->worker affinity re-pins the policy applied at epoch
         #: boundaries, and the epochs it evaluated.
         self.migrations = migrations
@@ -218,97 +164,36 @@ class ServicePlan:
         #: (observability: how hard the loop worked, not a cycle count).
         self.loop_iterations = loop_iterations
 
-    @property
-    def columns(self) -> PlanColumns:
-        """The columnar schedule (derived once for object-built plans)."""
-        if self._columns is None:
-            self._columns = PlanColumns.from_objects(
-                self._batches, self._rejected)
-        return self._columns
-
-    @property
-    def batches(self) -> List[Batch]:
-        if self._batches is None:
-            cols = self._columns
-            members = cols.requests.to_requests(cols.member_rows)
-            starts = cols.batch_starts.tolist()
-            clients = cols.batch_clients.tolist()
-            workers = cols.batch_workers.tolist()
-            self._batches = [
-                Batch(index=i, client=clients[i],
-                      requests=tuple(members[starts[i]:starts[i + 1]]),
-                      worker=workers[i])
-                for i in range(len(clients))]
-        return self._batches
-
-    @property
-    def rejected(self) -> List[Request]:
-        if self._rejected is None:
-            self._rejected = self._columns.requests.to_requests(
-                self._columns.rejected_rows)
-        return self._rejected
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ServicePlan):
-            return NotImplemented
-        return (self.params, self.batches, self.rejected, self.shed,
-                self.migrations, self.epochs, self.loop_iterations) == \
-            (other.params, other.batches, other.rejected, other.shed,
-             other.migrations, other.epochs, other.loop_iterations)
-
     def __repr__(self) -> str:
         return (f"ServicePlan(params={self.params!r}, "
-                f"n_batches={len(self.columns.batch_clients)}, "
+                f"n_batches={self.columns.n_batches}, "
                 f"n_served={self.n_served}, "
-                f"n_rejected={len(self.columns.rejected_rows)})")
+                f"n_rejected={self.n_rejected})")
+
+    @property
+    def shed(self) -> np.ndarray:
+        """Rows the policy's SLO valve shed (open loop: the request is
+        dropped; closed loop: the client backed off and retried, this
+        records the deferral)."""
+        return self.columns.shed_rows
 
     @property
     def n_served(self) -> int:
-        if self._columns is not None:
-            return int(self._columns.member_rows.shape[0])
-        return sum(len(batch.requests) for batch in self._batches)
+        return int(self.columns.member_rows.shape[0])
 
     @property
     def n_rejected(self) -> int:
-        if self._columns is not None:
-            return int(self._columns.rejected_rows.shape[0])
-        return len(self._rejected)
+        return int(self.columns.rejected_rows.shape[0])
 
     @property
     def coalesced(self) -> int:
         """Requests that shared a window with an earlier one (the count
         of permission-switch pairs batching saved)."""
-        if self._columns is not None:
-            return self.n_served - self._columns.n_batches
-        return sum(len(batch.requests) - 1 for batch in self._batches)
+        return self.n_served - self.columns.n_batches
 
     def batch_sizes(self) -> np.ndarray:
         """Per-batch member counts, in batch order (int64)."""
-        if self._columns is not None:
-            return self._columns.batch_sizes()
-        return np.fromiter((len(b.requests) for b in self._batches),
-                           dtype=np.int64, count=len(self._batches))
-
-
-def _take_batch(params: ServiceParams, queue: List[Request],
-                head_index: int = 0) -> List[Request]:
-    """Pop the next batch's members off the queue.
-
-    ``head_index`` is the policy-selected head (within the
-    ``batch_window`` lookahead); coalescing still scans the same window
-    for the head's client, so a reordered head changes *which* client is
-    served, never the coalescing rules.
-    """
-    head = queue[head_index]
-    if params.batching == "client":
-        members = [request for request in queue[:params.batch_window]
-                   if request.client == head.client]
-        members = members[:params.batch_limit]
-    else:
-        members = [head]
-    for request in members:
-        queue.remove(request)
-    return members
+        return self.columns.batch_sizes()
 
 
 def build_plan(params: ServiceParams,
@@ -329,126 +214,90 @@ def build_plan(params: ServiceParams,
     policy = policy_by_name(params.sched_policy)
     state = SchedState(params, clock, max(1, params.workers))
     if params.arrival == "closed" and params.dispatch == "replay":
-        plan = _closed_feedback_plan(params, clock, policy, state)
-    elif _is_static(policy):
-        plan = _stream_plan_columns(params, clock)
-    else:
-        plan = _stream_plan(params, clock, policy, state)
-    plan.shed = state.shed
-    plan.migrations = state.migrations
-    plan.epochs = state.epochs
-    return plan
+        return _dispatch_closed(params, clock, policy, state)
+    return _dispatch_stream(params, clock, policy, state)
 
 
-def _is_static(policy: SchedPolicy) -> bool:
-    """Whether the policy's every hook is the base (static) behaviour.
+def _hooks(policy: SchedPolicy):
+    """``(admit, select, observing)`` for one plan.
 
-    True for ``static`` and for any subclass that overrides nothing the
-    stream loop consults — exactly the plans the columnar fast path can
-    build without a policy round-trip per decision.  Policies with a
-    custom ``admit``/``select`` or an epoch loop take the object path.
+    ``admit``/``select`` are the policy's bound hooks when it overrides
+    them and ``None`` otherwise — the loops inline the base behaviour,
+    so ``static`` pays no Python call per decision.  ``observing`` says
+    whether the per-batch profile fold can matter: only a custom hook
+    or the epoch machinery ever reads it.
     """
     cls = type(policy)
-    return (cls.admit is SchedPolicy.admit
-            and cls.select is SchedPolicy.select
-            and not policy.uses_epochs)
+    admit = policy.admit if cls.admit is not SchedPolicy.admit else None
+    select = policy.select if cls.select is not SchedPolicy.select else None
+    return admit, select, bool(admit or select or policy.uses_epochs)
 
 
-def _observe_batch(policy: SchedPolicy, state: SchedState, client: int,
-                   members: List[Request], start: float,
-                   completion: float) -> None:
+def _observe(policy: SchedPolicy, state: SchedState, client: int,
+             members: List[int], start: float, completion: float) -> None:
     """Post-dispatch control-loop step: fold the batch into the live
     profile and run an epoch boundary when one is due."""
-    state.observe_batch(client, members, start, completion)
+    state.fold_batch(client, members, start, completion)
     if policy.uses_epochs and \
             state.batches_in_epoch >= state.params.sched_epoch_batches:
         state.end_epoch(policy)
 
 
-def _stream_plan(params: ServiceParams, clock: DispatchClock,
-                 policy: SchedPolicy, state: SchedState) -> ServicePlan:
+class _Schedule:
+    """The dispatch loops' output lists, packed into a plan at the end."""
+
+    def __init__(self):
+        self.member_rows: List[int] = []
+        self.sizes: List[int] = []
+        self.clients: List[int] = []
+        self.workers: List[int] = []
+        self.rejected_rows: List[int] = []
+
+    def plan(self, params: ServiceParams, requests: RequestColumns,
+             state: SchedState, iterations: int) -> ServicePlan:
+        starts = np.zeros(len(self.sizes) + 1, dtype=np.int64)
+        np.cumsum(np.asarray(self.sizes, dtype=np.int64), out=starts[1:])
+        columns = PlanColumns(
+            requests=requests,
+            member_rows=np.asarray(self.member_rows, dtype=np.int64),
+            batch_starts=starts,
+            batch_clients=np.asarray(self.clients, dtype=np.int64),
+            batch_workers=np.asarray(self.workers, dtype=np.int64),
+            rejected_rows=np.asarray(self.rejected_rows, dtype=np.int64),
+            shed_rows=np.asarray(state.shed, dtype=np.int64))
+        return ServicePlan(params, columns, migrations=state.migrations,
+                           epochs=state.epochs, loop_iterations=iterations)
+
+
+def _dispatch_stream(params: ServiceParams, clock: DispatchClock,
+                     policy: SchedPolicy, state: SchedState) -> ServicePlan:
     """Dispatch a pre-generated arrival stream (open loop, and the
-    nominal closed loop whose feedback was resolved at stream time)."""
-    stream = generate_requests(params)
-    workers = max(1, params.workers)
-    free = [0.0] * workers
-    queue: List[Request] = []
-    batches: List[Batch] = []
-    rejected: List[Request] = []
-    iterations = 0
-    position = 0  # next unconsumed arrival in the stream
+    nominal closed loop whose feedback was resolved at stream time).
 
-    def admit_until(now: float) -> None:
-        """Move arrivals with ``arrival <= now`` into the queue."""
-        nonlocal position
-        while position < len(stream) and stream[position].arrival <= now:
-            request = stream[position]
-            position += 1
-            verdict = policy.admit(state, request, queue)
-            if verdict == REJECT:
-                rejected.append(request)
-            elif verdict == SHED:
-                state.shed.append(request)
-            else:
-                queue.append(request)
-
-    while position < len(stream) or queue:
-        iterations += 1
-        slot = min(range(workers), key=lambda w: free[w])
-        now = free[slot]
-        if not queue:
-            # Idle worker: jump to the next arrival.
-            now = max(now, stream[position].arrival)
-        admit_until(now)
-        if not queue:
-            free[slot] = now
-            continue
-        index = policy.select(state, queue, slot)
-        head = queue[index]
-        members = _take_batch(params, queue, index)
-        completion = now + clock.batch_cycles(len(members))
-        batches.append(Batch(
-            index=len(batches), client=head.client,
-            requests=tuple(members), worker=slot))
-        free[slot] = completion
-        _observe_batch(policy, state, head.client, members, now, completion)
-
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
-
-
-def _stream_plan_columns(params: ServiceParams,
-                         clock: DispatchClock) -> ServicePlan:
-    """The static-policy dispatch loop over the column store.
-
-    Decision-for-decision identical to :func:`_stream_plan` with the
-    base policy hooks — bounded-queue admission, head-of-line selection,
-    earliest-free worker (ties to the lowest slot, here a heap of
-    ``(free, slot)`` pairs) — but the queue holds plain row indices and
-    the result lands straight in :class:`PlanColumns`: no ``Request`` or
-    ``Batch`` objects exist on this path.  Pinned against the object
-    loop by ``tests/service/test_sched.py`` / ``test_columns.py``.
+    The queue holds row indices into the stream's column store; the
+    earliest-free worker (ties to the lowest slot) is the root of a
+    heap of ``(free time, slot)`` pairs.  The policy-selected head lies
+    within the ``batch_window`` lookahead, and coalescing scans that
+    same window for the head's client, so a reordered head changes
+    *which* client is served, never the coalescing rules.
     """
     store = generate_request_columns(params)
-    arrivals = store.arrivals.tolist()
-    clients = store.clients.tolist()
+    arrivals = state.arrivals = store.arrivals.tolist()
+    clients = state.clients = store.clients.tolist()
     n = len(arrivals)
-    workers = max(1, params.workers)
+    admit, select, observing = _hooks(policy)
     max_queue = params.max_queue
     by_client = params.batching == "client"
     window = params.batch_window
     limit = params.batch_limit
     batch_cycles = clock.batch_cycles
-    #: One (free time, slot) entry per worker; the heap root is exactly
-    #: ``min(range(workers), key=free.__getitem__)`` of the object loop.
-    free = [(0.0, slot) for slot in range(workers)]
+    out = _Schedule()
+    member_rows, sizes = out.member_rows, out.sizes
+    batch_clients, batch_workers = out.clients, out.workers
+    rejected_rows, shed_rows = out.rejected_rows, state.shed
+    free = [(0.0, slot) for slot in range(max(1, params.workers))]
     queue: List[int] = []  # admitted rows, arrival order
-    member_rows: List[int] = []
-    sizes: List[int] = []
-    batch_clients: List[int] = []
-    batch_workers: List[int] = []
-    rejected_rows: List[int] = []
-    position = 0
+    position = 0  # next unconsumed arrival in the stream
     iterations = 0
 
     while position < n or queue:
@@ -462,43 +311,45 @@ def _stream_plan_columns(params: ServiceParams,
         while position < n and arrivals[position] <= now:
             row = position
             position += 1
-            if max_queue and len(queue) >= max_queue:
+            if admit is None:
+                if max_queue and len(queue) >= max_queue:
+                    rejected_rows.append(row)
+                else:
+                    queue.append(row)
+                continue
+            verdict = admit(state, row, queue)
+            if verdict == REJECT:
                 rejected_rows.append(row)
+            elif verdict == SHED:
+                shed_rows.append(row)
             else:
                 queue.append(row)
         if not queue:
             heapq.heapreplace(free, (now, slot))
             continue
-        head_client = clients[queue[0]]
+        index = select(state, queue, slot) if select is not None else 0
+        client = clients[queue[index]]
         if by_client:
             members = [row for row in queue[:window]
-                       if clients[row] == head_client][:limit]
+                       if clients[row] == client][:limit]
             for row in members:
                 queue.remove(row)
         else:
-            members = [queue.pop(0)]
-        heapq.heapreplace(free, (now + batch_cycles(len(members)), slot))
+            members = [queue.pop(index)]
+        completion = now + batch_cycles(len(members))
+        heapq.heapreplace(free, (completion, slot))
         member_rows.extend(members)
         sizes.append(len(members))
-        batch_clients.append(head_client)
+        batch_clients.append(client)
         batch_workers.append(slot)
+        if observing:
+            _observe(policy, state, client, members, now, completion)
 
-    starts = np.zeros(len(sizes) + 1, dtype=np.int64)
-    np.cumsum(np.asarray(sizes, dtype=np.int64), out=starts[1:])
-    columns = PlanColumns(
-        requests=store,
-        member_rows=np.asarray(member_rows, dtype=np.int64),
-        batch_starts=starts,
-        batch_clients=np.asarray(batch_clients, dtype=np.int64),
-        batch_workers=np.asarray(batch_workers, dtype=np.int64),
-        rejected_rows=np.asarray(rejected_rows, dtype=np.int64))
-    return ServicePlan(params=params, loop_iterations=iterations,
-                       columns=columns)
+    return out.plan(params, store, state, iterations)
 
 
-def _closed_feedback_plan(params: ServiceParams, clock: DispatchClock,
-                          policy: SchedPolicy,
-                          state: SchedState) -> ServicePlan:
+def _dispatch_closed(params: ServiceParams, clock: DispatchClock,
+                     policy: SchedPolicy, state: SchedState) -> ServicePlan:
     """The true closed loop: completions gate the next issue.
 
     Each client keeps one outstanding request; a served batch schedules
@@ -506,7 +357,10 @@ def _closed_feedback_plan(params: ServiceParams, clock: DispatchClock,
     and a rejected client backs off the same way.  Because the clock is
     scheme-calibrated, a slower scheme pushes completions — and thus the
     *whole subsequent arrival process* — later: the schedules genuinely
-    diverge per scheme instead of being one stream re-timed.
+    diverge per scheme instead of being one stream re-timed.  Issued
+    requests append to the state's row lists, which become the plan's
+    request store; admission, selection and coalescing follow
+    :func:`_dispatch_stream`.
 
     A policy ``SHED`` verdict is a *deferral* here: the client backs off
     exactly like a queue-full rejection (the existing backoff machinery)
@@ -527,17 +381,23 @@ def _closed_feedback_plan(params: ServiceParams, clock: DispatchClock,
     expovariate = rng.expovariate
     random_draw = rng.random
     heappush, heappop = heapq.heappush, heapq.heappop
-    # Static policies never consult the live profile, so skipping the
-    # per-batch control-loop fold is output-invisible (the base admit /
-    # select hooks read only the queue, and no epochs run).
-    observing = not _is_static(policy)
+    admit, select, observing = _hooks(policy)
+    max_queue = params.max_queue
+    by_client = params.batching == "client"
+    window = params.batch_window
+    limit = params.batch_limit
+    batch_cycles = clock.batch_cycles
+    out = _Schedule()
+    member_rows, sizes = out.member_rows, out.sizes
+    batch_clients, batch_workers = out.clients, out.workers
+    rejected_rows, shed_rows = out.rejected_rows, state.shed
+    clients, arrivals = state.clients, state.arrivals
+    is_write: List[bool] = []
     #: (next issue time, client) — a heap keeps client order stable.
     pending = [(expovariate(rate(params, 0.0) / think), client)
                for client in range(params.n_clients)]
     heapq.heapify(pending)
-    queue: List[Request] = []
-    batches: List[Batch] = []
-    rejected: List[Request] = []
+    queue: List[int] = []
     issued = 0
     iterations = 0
 
@@ -553,41 +413,55 @@ def _closed_feedback_plan(params: ServiceParams, clock: DispatchClock,
         # (each retry is a fresh offered request against the budget).
         while pending and issued < n_requests and pending[0][0] <= now:
             ready, client = heappop(pending)
-            request = Request(
-                rid=issued, client=client, arrival=ready,
-                is_write=random_draw() >= read_fraction)
+            row = issued
             issued += 1
-            verdict = policy.admit(state, request, queue)
+            clients.append(client)
+            arrivals.append(ready)
+            is_write.append(random_draw() >= read_fraction)
+            if admit is None:
+                verdict = REJECT if max_queue and len(queue) >= max_queue \
+                    else None
+            else:
+                verdict = admit(state, row, queue)
             if verdict == REJECT or verdict == SHED:
-                (rejected if verdict == REJECT else state.shed).append(
-                    request)
+                (rejected_rows if verdict == REJECT else shed_rows).append(
+                    row)
                 heappush(
                     pending,
                     (ready + expovariate(rate(params, ready) / think),
                      client))
             else:
-                queue.append(request)
+                queue.append(row)
         if not queue:
             if issued >= n_requests or not pending:
                 break
             # Idle worker: jump to the next issue.
             free[slot] = max(now, pending[0][0])
             continue
-        index = policy.select(state, queue, slot)
-        head = queue[index]
-        members = _take_batch(params, queue, index)
-        completion = now + clock.batch_cycles(len(members))
-        batches.append(Batch(
-            index=len(batches), client=head.client,
-            requests=tuple(members), worker=slot))
+        index = select(state, queue, slot) if select is not None else 0
+        client = clients[queue[index]]
+        if by_client:
+            members = [row for row in queue[:window]
+                       if clients[row] == client][:limit]
+            for row in members:
+                queue.remove(row)
+        else:
+            members = [queue.pop(index)]
+        completion = now + batch_cycles(len(members))
         free[slot] = completion
+        member_rows.extend(members)
+        sizes.append(len(members))
+        batch_clients.append(client)
+        batch_workers.append(slot)
         lambd = rate(params, completion) / think
-        for request in members:
-            heappush(pending,
-                     (completion + expovariate(lambd), request.client))
+        for row in members:
+            heappush(pending, (completion + expovariate(lambd), clients[row]))
         if observing:
-            _observe_batch(policy, state, head.client, members, now,
-                           completion)
+            _observe(policy, state, client, members, now, completion)
 
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
+    store = RequestColumns(
+        np.arange(issued, dtype=np.int64),
+        np.asarray(clients, dtype=np.int64),
+        np.asarray(arrivals, dtype=np.float64),
+        np.asarray(is_write, dtype=bool))
+    return out.plan(params, store, state, iterations)

@@ -44,7 +44,7 @@ bounded deterministic reservoir and bumps the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,8 +52,8 @@ from .. import obs
 from ..errors import SimulationError
 from ..cpu.trace import Trace
 from ..obs.metrics import Histogram
-from ..sim.stats import RunStats
-from .batching import Batch, PlanColumns, ServicePlan
+from ..sim.stats import RunStats, merge_run_stats
+from .batching import PlanColumns, ServicePlan
 from .sched.accounting import SchedAccounting, fold_shed
 from .sched.profile import profile_tenants
 from .server import batch_markers
@@ -114,18 +114,6 @@ def _served_plan_order(trace: Trace, cols: PlanColumns) -> np.ndarray:
             f"trace serves more batches on worker slot {slot} than "
             f"the plan assigns it — trace/plan mismatch")
     return order[offsets[position] + rank]
-
-
-def served_batches(trace: Trace, plan: ServicePlan) -> List[Batch]:
-    """The plan's batches in the order the trace actually served them.
-
-    The object view of :func:`_served_plan_order` — the accounting
-    itself gathers straight from the plan's column store and never
-    materializes these.
-    """
-    batches = plan.batches
-    return [batches[i]
-            for i in _served_plan_order(trace, plan.columns).tolist()]
 
 
 @dataclass
@@ -275,7 +263,7 @@ def _walk_marks(cols: PlanColumns, plan_idx: np.ndarray, marks,
         finish = max(walls.get(slot, 0.0), batch_ready) + delta
         walls[slot] = finish
         busy[slot] = busy.get(slot, 0.0) + delta
-        sched.observe_batch(client, delta)
+        sched.observe_window(client, delta)
         done_list[i] = finish
     done = np.asarray(done_list, dtype=np.float64)
 
@@ -289,52 +277,18 @@ def account(plan: ServicePlan, trace: Trace, stats: RunStats, *,
             frequency_hz: float) -> ServiceSummary:
     """Turn one marked replay into a :class:`ServiceSummary`.
 
-    Also publishes the run into the active obs registry/event stream
-    (``service.*`` names, see :mod:`repro.obs.schema`) when
-    observability is enabled.
+    The single-core case of :func:`account_sharded`: one walk over the
+    plan's batches in the order the trace served them.  Also publishes
+    the run into the active obs registry/event stream (``service.*``
+    names, see :mod:`repro.obs.schema`) when observability is enabled.
     """
-    cols = plan.columns
-    if stats.mark_cycles is None and cols.n_batches:
+    if stats.mark_cycles is None and plan.columns.n_batches:
         raise SimulationError(
             "RunStats has no mark_cycles; replay with "
             "marks=batch_boundaries(trace)")
-    order = _served_plan_order(trace, cols)
-    marks = stats.mark_cycles or []
-    if len(marks) != len(order):
-        raise SimulationError(
-            f"{len(marks)} marks for {len(order)} batches")
-
-    latency = Histogram()
-    sched = SchedAccounting(slo_target=plan.params.slo_p99_cycles)
-    walls: Dict[int, float] = {}
-    busy: Dict[int, float] = {}
-    _walk_marks(cols, order, marks, latency, sched, walls, busy)
-    wall = max(walls.values()) if walls else 0.0
-    fold_shed(sched, plan)
-
-    served = plan.n_served
-    throughput = served * frequency_hz / wall if wall > 0 else 0.0
-    summary = ServiceSummary(
-        scheme=stats.scheme,
-        n_offered=served + plan.n_rejected + len(plan.shed),
-        n_served=served,
-        n_rejected=plan.n_rejected,
-        n_shed=len(plan.shed),
-        n_batches=cols.n_batches,
-        coalesced=plan.coalesced,
-        perm_switches=stats.perm_switches,
-        cycles=stats.cycles,
-        wall_cycles=wall,
-        throughput_rps=throughput,
-        latency=latency,
-        worker_busy={slot: busy[slot] for slot in sorted(busy)},
-        loop_iterations=plan.loop_iterations,
-        cross_core_shootdowns=stats.cross_core_shootdowns,
-        cross_core_shootdown_cycles=stats.cross_core_shootdown_cycles,
-        sched=sched,
-        stats=stats)
-    _publish(summary, plan)
-    return summary
+    order = _served_plan_order(trace, plan.columns)
+    return _summarize(plan, [(order, stats.mark_cycles or [], "trace")],
+                      stats, frequency_hz)
 
 
 def account_sharded(plan: ServicePlan, shards, shard_stats, *,
@@ -348,7 +302,8 @@ def account_sharded(plan: ServicePlan, shards, shard_stats, *,
     clock runs on its own simulated core, so the k-th inter-mark delta
     of slot w is directly the service duration of that slot's k-th batch
     — the wall-clock recurrence is the same as :func:`account`'s, just
-    fed per slot instead of through the interleaved marker order:
+    walked once per slot instead of once through the interleaved marker
+    order:
 
     ``W_w = max(W_w, latest member arrival) + (C_k - C_{k-1})``
 
@@ -366,20 +321,14 @@ def account_sharded(plan: ServicePlan, shards, shard_stats, *,
     final mark clock, and their total equals the merged totals' share —
     is pinned by ``tests/service/test_multicore.py``.
     """
-    from ..sim.stats import merge_run_stats
     shards = list(shards)
     shard_stats = list(shard_stats)
     if len(shards) != len(shard_stats):
         raise SimulationError(
             f"{len(shard_stats)} shard replays for {len(shards)} shards")
-    cols = plan.columns
-    order, slots, offsets, counts = _partition_order(cols)
+    order, slots, offsets, counts = _partition_order(plan.columns)
     slot_index = {int(slot): i for i, slot in enumerate(slots.tolist())}
-
-    latency = Histogram()
-    sched = SchedAccounting(slo_target=plan.params.slo_p99_cycles)
-    walls: Dict[int, float] = {}
-    busy: Dict[int, float] = {}
+    walks = []
     for shard, stats in zip(shards, shard_stats):
         at = slot_index.get(shard.slot)
         partition = order[offsets[at]:offsets[at] + counts[at]] \
@@ -388,37 +337,54 @@ def account_sharded(plan: ServicePlan, shards, shard_stats, *,
             raise SimulationError(
                 f"shard {shard.slot} RunStats has no mark_cycles; replay "
                 f"with the shard's marks")
-        marks = stats.mark_cycles or []
-        if len(marks) != len(partition):
+        walks.append((partition, stats.mark_cycles or [],
+                      f"shard {shard.slot}"))
+    return _summarize(plan, walks, merge_run_stats(shard_stats),
+                      frequency_hz)
+
+
+def _summarize(plan: ServicePlan,
+               walks: Sequence[Tuple[np.ndarray, Sequence[float], str]],
+               stats: RunStats, frequency_hz: float) -> ServiceSummary:
+    """The accounting core: fold every ``(plan indices in served order,
+    marks, label)`` walk onto the per-worker wall clocks and summarize
+    against the run's (merged) ``stats``."""
+    cols = plan.columns
+    latency = Histogram()
+    sched = SchedAccounting(slo_target=plan.params.slo_p99_cycles)
+    walls: Dict[int, float] = {}
+    busy: Dict[int, float] = {}
+    for order, marks, label in walks:
+        if len(marks) != len(order):
             raise SimulationError(
-                f"shard {shard.slot}: {len(marks)} marks for "
-                f"{len(partition)} planned batches")
-        _walk_marks(cols, partition, marks, latency, sched, walls, busy)
+                f"{label}: {len(marks)} marks for {len(order)} planned "
+                f"batches")
+        _walk_marks(cols, order, marks, latency, sched, walls, busy)
     wall = max(walls.values()) if walls else 0.0
     fold_shed(sched, plan)
 
-    merged = merge_run_stats(shard_stats)
     served = plan.n_served
+    shed = len(plan.shed)
     throughput = served * frequency_hz / wall if wall > 0 else 0.0
     summary = ServiceSummary(
-        scheme=merged.scheme,
-        n_offered=served + plan.n_rejected + len(plan.shed),
+        scheme=stats.scheme,
+        n_offered=served + plan.n_rejected + shed,
         n_served=served,
         n_rejected=plan.n_rejected,
-        n_shed=len(plan.shed),
+        n_shed=shed,
         n_batches=cols.n_batches,
         coalesced=plan.coalesced,
-        perm_switches=merged.perm_switches,
-        cycles=merged.cycles,
+        perm_switches=stats.perm_switches,
+        cycles=stats.cycles,
         wall_cycles=wall,
         throughput_rps=throughput,
         latency=latency,
         worker_busy={slot: busy[slot] for slot in sorted(busy)},
         loop_iterations=plan.loop_iterations,
-        cross_core_shootdowns=merged.cross_core_shootdowns,
-        cross_core_shootdown_cycles=merged.cross_core_shootdown_cycles,
+        cross_core_shootdowns=stats.cross_core_shootdowns,
+        cross_core_shootdown_cycles=stats.cross_core_shootdown_cycles,
         sched=sched,
-        stats=merged)
+        stats=stats)
     _publish(summary, plan)
     return summary
 

@@ -126,7 +126,8 @@ class ServiceParams:
     #: Worker threads serving batches (interleaved by the round-robin
     #: scheduler when > 1; the simulated machine stays single-core).
     workers: int = 1
-    #: Batches served per scheduling quantum when ``workers > 1``.
+    #: Batches served per scheduling quantum when ``workers > 1`` (at
+    #: least 1).
     quantum: int = 4
     #: Clock driving the dispatch simulation: ``nominal`` — the fixed
     #: analytic estimate (:func:`nominal_request_cycles`), one schedule
@@ -201,6 +202,17 @@ class ServiceParams:
             raise ValueError("n_clients must be at least 1")
         if self.batch_limit < 1:
             raise ValueError("batch_limit must be at least 1")
+        if self.quantum < 1:
+            raise ValueError("quantum must be at least 1")
+        # Every request must emit at least one access event: the server's
+        # columnar assembly sums per-member event runs into batch sizes
+        # and needs every run non-empty.
+        if self.read_words + self.stack_per_request + \
+                (self.shared_words if self.shared_domains else 0) < 1:
+            raise ValueError(
+                "read_words + stack_per_request (+ shared_words with "
+                "shared_domains) must be at least 1: every request needs "
+                "one access event")
         # Scheduling-policy names are a registry too — same lazy lookup,
         # same roster-listing error converted for dataclass callers.
         try:

@@ -70,7 +70,7 @@ class SchedAccounting:
 
     # -- folding (called from the latency-accounting walk) -----------------------
 
-    def observe_batch(self, client: int, delta: float) -> None:
+    def observe_window(self, client: int, delta: float) -> None:
         self.busy[client] = self.busy.get(client, 0.0) + delta
         self.windows[client] = self.windows.get(client, 0) + 1
 
@@ -196,7 +196,7 @@ class SchedAccounting:
 
 def fold_shed(accounting: SchedAccounting, plan) -> None:
     """Copy the planner's control-loop outcomes onto the accounting."""
-    for request in plan.shed:
-        accounting.observe_shed(request.client)
+    for client in plan.columns.requests.clients[plan.shed].tolist():
+        accounting.observe_shed(client)
     accounting.migrations = plan.migrations
     accounting.epochs = plan.epochs

@@ -17,6 +17,10 @@ it at three actuation points —
   epoch's per-tenant demand into a profile snapshot and lets the policy
   re-pin clients to worker slots (migrations are counted on the plan).
 
+Hooks see requests as **row indices** into the run's request store:
+``state.clients[row]``/``state.arrivals[row]`` are the request's client
+and arrival time, and the queue is a list of rows in admission order.
+
 Policies are **stateless singletons** registered in
 :data:`SCHED_POLICIES` (exactly like arrival patterns); all mutable
 bookkeeping lives in the per-plan :class:`SchedState`, so one policy
@@ -29,8 +33,9 @@ The ``static`` policy reproduces the pre-scheduler dispatch loop
 decision for decision; selecting it (or leaving the default) is
 bit-identical to the accounting this subsystem replaced — pinned by
 ``tests/service/test_sched.py`` against an inlined copy of the legacy
-loop.  See ``docs/SCHEDULING.md`` for the policy model and the
-actuation limits.
+loop, and every policy is pinned against the pre-columnar object
+planner by ``tests/service/test_planner_oracle.py``.  See
+``docs/SCHEDULING.md`` for the policy model and the actuation limits.
 """
 
 from __future__ import annotations
@@ -43,7 +48,6 @@ from ...registry import Registry
 if TYPE_CHECKING:
     from ..batching import DispatchClock
     from ..params import ServiceParams
-    from ..traffic import Request
 
 #: Scheduling policies (``params.sched_policy``).  Built-ins live in
 #: this module; third parties register through ``REPRO_PLUGINS``.
@@ -95,15 +99,20 @@ class SchedState:
     (:mod:`repro.service.sched.profile`) are separate things.
     """
 
-    __slots__ = ("params", "clock", "workers", "demand", "epoch_demand",
-                 "affinity", "predicted", "shed", "migrations", "epochs",
-                 "batches_in_epoch", "service_cycles", "service_requests")
+    __slots__ = ("params", "clock", "workers", "clients", "arrivals",
+                 "demand", "epoch_demand", "affinity", "predicted", "shed",
+                 "migrations", "epochs", "batches_in_epoch",
+                 "service_cycles", "service_requests")
 
     def __init__(self, params: "ServiceParams", clock: "DispatchClock",
                  workers: int):
         self.params = params
         self.clock = clock
         self.workers = workers
+        #: Per-row client and arrival time of the request store, as
+        #: Python lists (the closed loop appends as it issues).
+        self.clients: List[int] = []
+        self.arrivals: List[float] = []
         #: client -> dispatch-clock service cycles received so far.
         self.demand: Dict[int, float] = {}
         #: client -> service cycles received this epoch.
@@ -112,9 +121,9 @@ class SchedState:
         self.affinity: Dict[int, int] = {}
         #: Recent predicted request latencies (completion - arrival).
         self.predicted: Deque[float] = deque(maxlen=PREDICTION_WINDOW)
-        #: Requests dropped by the policy's SLO valve (not queue-full
-        #: rejects — those stay on ``ServicePlan.rejected``).
-        self.shed: List["Request"] = []
+        #: Rows dropped by the policy's SLO valve (queue-full rejects
+        #: are ``PlanColumns.rejected_rows``).
+        self.shed: List[int] = []
         #: Affinity re-pins applied at epoch boundaries.
         self.migrations = 0
         #: Epoch boundaries the control loop evaluated.
@@ -125,15 +134,16 @@ class SchedState:
         self.service_cycles = 0.0
         self.service_requests = 0
 
-    def observe_batch(self, client: int, members, start: float,
-                      completion: float) -> None:
-        """Fold one dispatched batch into the running profile."""
+    def fold_batch(self, client: int, members: List[int], start: float,
+                   completion: float) -> None:
+        """Fold one dispatched batch (member rows) into the profile."""
         cycles = completion - start
         self.demand[client] = self.demand.get(client, 0.0) + cycles
         self.epoch_demand[client] = \
             self.epoch_demand.get(client, 0.0) + cycles
-        for request in members:
-            self.predicted.append(completion - request.arrival)
+        arrivals = self.arrivals
+        for row in members:
+            self.predicted.append(completion - arrivals[row])
         self.service_cycles += cycles
         self.service_requests += len(members)
         self.batches_in_epoch += 1
@@ -182,24 +192,27 @@ class SchedPolicy:
     Subclasses override individual hooks; everything they do not
     override behaves like ``static``.  ``uses_epochs`` gates the epoch
     machinery so policies without a control loop pay nothing for it
-    (and ``static`` plans keep ``epochs == migrations == 0``).
+    (and ``static`` plans keep ``epochs == migrations == 0``).  The
+    dispatch loops inline the base :meth:`admit`/:meth:`select` for
+    policies that do not override them, and skip the per-batch profile
+    fold when no hook could read it.
     """
 
     #: Whether the dispatch loop should run epoch boundaries at all.
     uses_epochs = False
 
-    def admit(self, state: SchedState, request: "Request",
-              queue: List["Request"]) -> str:
-        """Admission verdict for one arrival (bounded-queue default)."""
+    def admit(self, state: SchedState, row: int, queue: List[int]) -> str:
+        """Admission verdict for the arrival ``row`` (bounded-queue
+        default)."""
         params = state.params
         if params.max_queue and len(queue) >= params.max_queue:
             return REJECT
         return ADMIT
 
-    def select(self, state: SchedState, queue: List["Request"],
+    def select(self, state: SchedState, queue: List[int],
                slot: int) -> int:
-        """Index (within the ``batch_window`` lookahead) of the request
-        the worker on ``slot`` serves next."""
+        """Index (within the ``batch_window`` lookahead) of the queued
+        row the worker on ``slot`` serves next."""
         return 0
 
     def rebalance(self, state: SchedState,
@@ -209,19 +222,19 @@ class SchedPolicy:
 
     # -- shared helpers ----------------------------------------------------------
 
-    def _window(self, state: SchedState, queue: List["Request"]
-                ) -> List["Request"]:
+    def _window(self, state: SchedState, queue: List[int]) -> List[int]:
         return queue[:min(len(queue), state.params.batch_window)]
 
-    def _fairest(self, state: SchedState, window: List["Request"]) -> int:
+    def _fairest(self, state: SchedState, window: List[int]) -> int:
         """Lookahead index whose client received the least service.
 
         Ties break on queue position, so equally-served clients are
         still FIFO — and a cold start (nobody served yet) degrades to
         head-of-line exactly like ``static``.
         """
+        clients = state.clients
         return min(range(len(window)),
-                   key=lambda i: (state.demand.get(window[i].client, 0.0),
+                   key=lambda i: (state.demand.get(clients[window[i]], 0.0),
                                   i))
 
 
@@ -243,7 +256,7 @@ class WeightedFairPolicy(SchedPolicy):
     override :meth:`_fairest` to weight the virtual time.
     """
 
-    def select(self, state: SchedState, queue: List["Request"],
+    def select(self, state: SchedState, queue: List[int],
                slot: int) -> int:
         return self._fairest(state, self._window(state, queue))
 
@@ -279,8 +292,7 @@ class SloAdaptivePolicy(SchedPolicy):
 
     uses_epochs = True
 
-    def admit(self, state: SchedState, request: "Request",
-              queue: List["Request"]) -> str:
+    def admit(self, state: SchedState, row: int, queue: List[int]) -> str:
         params = state.params
         if params.max_queue and len(queue) >= params.max_queue:
             return REJECT
@@ -293,12 +305,13 @@ class SloAdaptivePolicy(SchedPolicy):
                 return SHED
         return ADMIT
 
-    def select(self, state: SchedState, queue: List["Request"],
+    def select(self, state: SchedState, queue: List[int],
                slot: int) -> int:
         window = self._window(state, queue)
         if state.affinity:
-            mine = [i for i, request in enumerate(window)
-                    if state.affinity.get(request.client) == slot]
+            clients = state.clients
+            mine = [i for i, row in enumerate(window)
+                    if state.affinity.get(clients[row]) == slot]
             if mine:
                 return mine[0]
         return 0

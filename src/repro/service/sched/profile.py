@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+import numpy as np
+
 from .accounting import SchedAccounting
 
 #: Fraction of all offered requests the Zipf head covers.
@@ -87,34 +89,26 @@ def profile_tenants(plan, accounting: SchedAccounting,
                     wall_cycles: float) -> List[TenantProfile]:
     """Per-client profiles of one accounted run, sorted by client id.
 
-    ``plan`` supplies the offered stream (batches + rejected + shed);
-    ``accounting`` the replayed per-client latency/busy/window data;
-    ``wall_cycles`` the accounted wall clock the spans and busy
-    fractions normalize against.
+    ``plan`` supplies the offered stream (member + rejected + shed
+    rows of its column store); ``accounting`` the replayed per-client
+    latency/busy/window data; ``wall_cycles`` the accounted wall clock
+    the spans and busy fractions normalize against.
     """
-    offered: Dict[int, int] = {}
-    writes: Dict[int, int] = {}
-    first: Dict[int, float] = {}
-    last: Dict[int, float] = {}
-
-    def see(request) -> None:
-        client = request.client
-        offered[client] = offered.get(client, 0) + 1
-        if request.is_write:
-            writes[client] = writes.get(client, 0) + 1
-        arrival = request.arrival
-        if client not in first or arrival < first[client]:
-            first[client] = arrival
-        if client not in last or arrival > last[client]:
-            last[client] = arrival
-
-    for batch in plan.batches:
-        for request in batch.requests:
-            see(request)
-    for request in plan.rejected:
-        see(request)
-    for request in plan.shed:
-        see(request)
+    cols = plan.columns
+    store = cols.requests
+    rows = np.concatenate([cols.member_rows, cols.rejected_rows,
+                           cols.shed_rows])
+    ids, inverse, counts = np.unique(store.clients[rows],
+                                     return_inverse=True, return_counts=True)
+    arrivals = store.arrivals[rows]
+    first = np.full(len(ids), np.inf)
+    last = np.full(len(ids), -np.inf)
+    np.minimum.at(first, inverse, arrivals)
+    np.maximum.at(last, inverse, arrivals)
+    wrote = np.bincount(inverse[store.is_write[rows]], minlength=len(ids))
+    offered = dict(zip(ids.tolist(), counts.tolist()))
+    writes = dict(zip(ids.tolist(), wrote.tolist()))
+    spans = dict(zip(ids.tolist(), (last - first).tolist()))
 
     total_offered = sum(offered.values())
     total_writes = sum(writes.values())
@@ -136,8 +130,8 @@ def profile_tenants(plan, accounting: SchedAccounting,
         histogram = accounting.latency.get(client)
         served = histogram.count if histogram is not None else 0
         n_offered = offered[client]
-        write_fraction = writes.get(client, 0) / n_offered
-        span = last[client] - first[client]
+        write_fraction = writes[client] / n_offered
+        span = spans[client]
         busy = accounting.busy.get(client, 0.0)
         classes = ["hot" if client in hot else "long_tail"]
         classes.append("write_heavy"

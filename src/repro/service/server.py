@@ -21,7 +21,7 @@ The server executes a :class:`~repro.service.batching.ServicePlan`
   slot (:func:`batch_markers` / :func:`batch_boundaries`);
 * with ``revoke_every_batches > 0`` the serving worker follows every
   k-th batch with a revocation storm — a ``SETPERM(NONE)`` sweep over
-  client domains (:meth:`ServiceWorkload.revoke_storm`); the marker
+  client domains (:meth:`ServiceWorkload.serve`); the marker
   recovery distinguishes those sweeps from window closes by matching
   each ``NONE`` against the worker's currently open windows.
 """
@@ -40,7 +40,7 @@ from ..permissions import Perm
 from ..pmo.oid import OID
 from ..workloads.base import PoolHandle, UnprotectedPolicy, Workspace
 from ..workloads.families import register_family
-from .batching import Batch, ServicePlan, build_plan
+from .batching import ServicePlan, build_plan
 from .params import ServiceParams
 
 #: Assembled events per streamed chunk (bounds transient memory — the
@@ -101,125 +101,13 @@ class ServiceWorkload:
             self.shared_pools.append(pool)
             self.shared_records.append(record)
 
-        #: Streaming assembly state; stays ``None`` when the object
-        #: (recorder) path serves, and :meth:`finish` then degrades to
-        #: the plain workspace finish.
+        #: Streaming assembly state; stays ``None`` until :meth:`serve`,
+        #: so finishing an unserved workload is the plain workspace
+        #: finish.
         self._builder: Optional[TraceColumnsBuilder] = None
         self._streamed_instructions = 0
 
     # -- serving -----------------------------------------------------------------
-
-    def serve_batch(self, batch: Batch, tid: int) -> None:
-        """One permission window serving every request of the batch."""
-        params = self.params
-        ws = self.ws
-        pool = self.pools[batch.client]
-        secret = self.secrets[batch.client]
-        ws.recorder.perm(tid, pool.domain, Perm.RW)
-        for request in batch.requests:
-            ws.compute(params.compute_per_request)
-            if self.shared_records:
-                # Catalog lookup before touching the private record.
-                shared = request.rid % len(self.shared_records)
-                ws.mem.read_bytes(self.shared_records[shared], 0,
-                                  params.shared_words * 8, tid=tid)
-            ws.mem.read_bytes(secret, 0, params.read_words * 8, tid=tid)
-            if request.is_write:
-                ws.mem.write_bytes(
-                    secret, params.read_words * 8,
-                    request.rid.to_bytes(8, "little") * params.write_words,
-                    tid=tid)
-            ws.stack_access(tid=tid, n=params.stack_per_request)
-        ws.recorder.perm(tid, pool.domain, Perm.NONE)
-
-    def revoke_storm(self, tid: int) -> None:
-        """One mass-revocation sweep by the serving worker.
-
-        Emits ``SETPERM(domain, NONE)`` over the first
-        ``revoke_fraction`` of the client domains — a lease-expiry /
-        key-rotation / tenant-eviction wave.  The swept domains hold no
-        open serving window (the storm runs between batches), so the
-        switches are *not* batch boundaries; :func:`batch_markers`
-        recognises that by matching closes against open windows.
-        """
-        swept = max(1, round(self.params.n_clients *
-                             self.params.revoke_fraction))
-        for pool in self.pools[:swept]:
-            self.ws.recorder.perm(tid, pool.domain, Perm.NONE)
-
-    def serve(self, plan: ServicePlan) -> None:
-        """Execute the whole plan (worker pool, scheduler interleaving).
-
-        With ``revoke_every_batches = k > 0`` the worker that served
-        every k-th batch (in plan order — the storm schedule is fixed at
-        generation time, like everything else) follows it with a
-        :meth:`revoke_storm` sweep.
-
-        The default configuration streams: the plan's column store is
-        assembled straight into event arrays (:meth:`_serve_columns`),
-        chunk by chunk, never materializing a ``Request``/``Batch`` or
-        event tuple — event-for-event identical to the recorder path
-        (pinned by ``tests/service/test_columns.py``).  Configurations
-        the assembler does not model (a non-default permission policy,
-        recording suspended, requests that emit no events at all) fall
-        back to :meth:`serve_objects`.
-        """
-        params = self.params
-        per_request = params.read_words + params.stack_per_request + \
-            (params.shared_words if self.shared_records else 0)
-        if (type(self.ws.policy) is not UnprotectedPolicy
-                or not self.ws.recording
-                or per_request == 0
-                or (max(1, params.workers) > 1 and params.quantum < 1)):
-            self.serve_objects(plan)
-            return
-        self._serve_columns(plan)
-
-    def serve_objects(self, plan: ServicePlan) -> None:
-        """The recorder-driven serve: one Python call per event.
-
-        Kept as the semantic reference — the differential suite replays
-        both paths and asserts identical event streams — and as the
-        fallback for configurations :meth:`serve` does not stream.
-        """
-        params = self.params
-        every = params.revoke_every_batches
-        #: batch index (plan order) -> storm follows it.
-        storm_after = frozenset(
-            index for index in range(len(plan.batches))
-            if every and (index + 1) % every == 0)
-
-        if max(1, params.workers) == 1:
-            tid = self.worker_tids[0]
-            for index, batch in enumerate(plan.batches):
-                self.serve_batch(batch, tid)
-                if index in storm_after:
-                    self.revoke_storm(tid)
-            return
-
-        from ..os.scheduler import RoundRobinScheduler
-        scheduler = RoundRobinScheduler(self.ws, quantum=params.quantum)
-        partitions: List[List[Tuple[Batch, bool]]] = \
-            [[] for _ in self.worker_tids]
-        for index, batch in enumerate(plan.batches):
-            partitions[batch.worker].append((batch, index in storm_after))
-
-        process = self.ws.process
-        for slot, thread in enumerate(process.threads):
-            my_batches = partitions[slot]
-
-            def body(thread=thread, my_batches=my_batches):
-                for batch, storm in my_batches:
-                    self.serve_batch(batch, thread.tid)
-                    if storm:
-                        self.revoke_storm(thread.tid)
-                    yield
-
-            scheduler.spawn(lambda thread, body=body: body(thread=thread),
-                            thread)
-        scheduler.run()
-
-    # -- streaming columnar serve ----------------------------------------------------
 
     def _emitted_blocks(self, batch_workers: np.ndarray
                         ) -> List[Tuple[int, int, int]]:
@@ -266,7 +154,7 @@ class ServiceWorkload:
                              m_write: np.ndarray) -> None:
         """Demand-fault the pages the streamed accesses would touch.
 
-        The recorder path faults each page at its first traced access,
+        A recorded access faults each page at its first traced access,
         and the trace layout records page-table entries in fault order —
         so the assembler walks the emitted members in order, faulting
         any still-unmapped page of each member's access spans exactly
@@ -341,8 +229,27 @@ class ServiceWorkload:
             if not candidates:
                 return
 
-    def _serve_columns(self, plan: ServicePlan) -> None:
-        """Assemble the whole serve as streamed event columns."""
+    def serve(self, plan: ServicePlan) -> None:
+        """Execute the whole plan (worker pool, scheduler interleaving).
+
+        The plan's column store is assembled straight into event arrays,
+        chunk by chunk, never materializing a per-request object or
+        event tuple.  With more than one worker the per-slot partitions
+        interleave exactly as
+        :class:`~repro.os.scheduler.RoundRobinScheduler` would run them
+        (:meth:`_emitted_blocks`).  With ``revoke_every_batches = k > 0``
+        the worker that served every k-th batch (in plan order — the
+        storm schedule is fixed at generation time, like everything
+        else) follows it with a ``SETPERM(NONE)`` sweep over the first
+        ``revoke_fraction`` of the client domains — a lease-expiry /
+        key-rotation / tenant-eviction wave.  The swept domains hold no
+        open serving window, so the sweep is not a batch boundary
+        (:func:`batch_markers` matches closes against open windows).
+
+        Event-for-event identical to the per-event recorder serve it
+        replaced (pinned by ``tests/service/test_columns.py`` against
+        the oracle in ``tests/service/legacy.py``).
+        """
         params = self.params
         ws = self.ws
         cols = plan.columns

@@ -42,9 +42,8 @@ the tenant set — modulating interarrival gaps (open loop), think times
 (closed loop) and, for churn, the connected client population.  The
 disciplines and patterns are both plugin registries
 (:mod:`repro.service.arrivals`); the two loops below self-register as
-the ``open`` and ``closed`` disciplines.  A plugin discipline may keep
-returning a plain ``List[Request]`` — it is adapted into columns — or
-return a :class:`RequestColumns` itself.
+the ``open`` and ``closed`` disciplines.  Every discipline returns a
+:class:`RequestColumns`.
 
 Client popularity is Zipf-distributed (hot tenants), reusing the
 exemplar-accurate :class:`~repro.workloads.micro.ZipfSampler` (batch
@@ -54,8 +53,7 @@ draws via :meth:`~repro.workloads.micro.ZipfSampler.map_uniforms`).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List
 
 import numpy as np
 
@@ -89,28 +87,13 @@ def think_gap(params: ServiceParams, rng: random.Random,
         rate_multiplier(params, now) / params.think_cycles)
 
 
-@dataclass(frozen=True)
-class Request:
-    """One client request of the offered stream."""
-
-    rid: int
-    client: int
-    #: Arrival time on the simulated-cycle wall clock.
-    arrival: float
-    #: Read-only lookup vs. record update (writes also read the record).
-    is_write: bool
-
-
 class RequestColumns:
     """The offered stream as four parallel numpy columns.
 
     ``rids`` (int64), ``clients`` (int64), ``arrivals`` (float64) and
     ``is_write`` (bool) — row ``i`` is request ``i`` of the stream, in
-    arrival order.  The planner's static fast path and the latency
-    accounting gather straight from these arrays;
-    :meth:`to_requests` materializes the historical per-object view
-    (same values, so object-level consumers and tests see an identical
-    stream).
+    arrival order.  The planner, the server and the latency accounting
+    address requests by row and gather straight from these arrays.
     """
 
     __slots__ = ("rids", "clients", "arrivals", "is_write")
@@ -122,42 +105,8 @@ class RequestColumns:
         self.arrivals = arrivals
         self.is_write = is_write
 
-    @classmethod
-    def from_requests(cls, requests: Sequence[Request]) -> "RequestColumns":
-        """Adapt a per-object stream (plugin disciplines, tests)."""
-        n = len(requests)
-        return cls(
-            np.fromiter((r.rid for r in requests), dtype=np.int64, count=n),
-            np.fromiter((r.client for r in requests), dtype=np.int64,
-                        count=n),
-            np.fromiter((r.arrival for r in requests), dtype=np.float64,
-                        count=n),
-            np.fromiter((r.is_write for r in requests), dtype=bool, count=n))
-
     def __len__(self) -> int:
         return int(self.rids.shape[0])
-
-    def request(self, row: int) -> Request:
-        """Materialize one row as a :class:`Request`."""
-        return Request(rid=int(self.rids[row]), client=int(self.clients[row]),
-                       arrival=float(self.arrivals[row]),
-                       is_write=bool(self.is_write[row]))
-
-    def to_requests(self, rows: Optional[Sequence[int]] = None
-                    ) -> List[Request]:
-        """The per-object view — all rows, or the given row subset."""
-        if rows is None:
-            quads = zip(self.rids.tolist(), self.clients.tolist(),
-                        self.arrivals.tolist(), self.is_write.tolist())
-        else:
-            index = np.asarray(rows, dtype=np.int64)
-            quads = zip(self.rids[index].tolist(),
-                        self.clients[index].tolist(),
-                        self.arrivals[index].tolist(),
-                        self.is_write[index].tolist())
-        return [Request(rid=rid, client=client, arrival=arrival,
-                        is_write=write)
-                for rid, client, arrival, write in quads]
 
 
 def generate_request_columns(params: ServiceParams) -> RequestColumns:
@@ -166,23 +115,15 @@ def generate_request_columns(params: ServiceParams) -> RequestColumns:
     Dispatches through the arrival-discipline registry, so a registered
     plugin discipline generates streams exactly like the built-in loops
     (same seeding contract: a discipline is a pure function of
-    ``(params, rng)``).  Disciplines returning the historical
-    ``List[Request]`` are adapted.
+    ``(params, rng)`` returning a :class:`RequestColumns`).
     """
     rng = random.Random(params.seed)
     produced = ARRIVAL_DISCIPLINES.get(params.arrival)(params, rng)
-    if isinstance(produced, RequestColumns):
-        return produced
-    return RequestColumns.from_requests(produced)
-
-
-def generate_requests(params: ServiceParams) -> List[Request]:
-    """The offered request stream as :class:`Request` objects.
-
-    The per-object view of :func:`generate_request_columns` — value-
-    identical to the historical per-object generators.
-    """
-    return generate_request_columns(params).to_requests()
+    if not isinstance(produced, RequestColumns):
+        raise TypeError(
+            f"arrival discipline {params.arrival!r} returned "
+            f"{type(produced).__name__}, not RequestColumns")
+    return produced
 
 
 @ARRIVAL_DISCIPLINES.register("open")

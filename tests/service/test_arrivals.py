@@ -7,7 +7,7 @@ import pytest
 from repro.cpu.trace import PERM
 from repro.permissions import Perm
 from repro.service import (ServiceParams, batch_boundaries, build_plan,
-                           generate_requests, generate_service_trace)
+                           generate_request_columns, generate_service_trace)
 from repro.service.arrivals import pattern_by_name
 
 
@@ -39,7 +39,7 @@ class TestChurnPattern:
         params = ServiceParams(n_clients=16, n_requests=600,
                                pattern="churn",
                                churn_active_fraction=0.25)
-        clients = {request.client for request in generate_requests(params)}
+        clients = set(generate_request_columns(params).clients.tolist())
         # More distinct clients than one window (the window moved), but
         # the stream is still confined to windows, never uniform.
         assert 4 <= len(clients) <= 16
@@ -49,7 +49,7 @@ class TestChurnPattern:
                                pattern="churn",
                                churn_period_cycles=10_000_000.0,
                                churn_active_fraction=0.25)
-        clients = {request.client for request in generate_requests(params)}
+        clients = set(generate_request_columns(params).clients.tolist())
         assert clients <= {0, 1, 2, 3}
 
     def test_churn_params_are_validated(self):
@@ -83,7 +83,7 @@ class TestRevocationStorms:
                        if event[0] == PERM and event[4] == int(Perm.NONE))
 
         plan = build_plan(self.PARAMS)
-        storms = len(plan.batches) // self.PARAMS.revoke_every_batches
+        storms = plan.columns.n_batches // self.PARAMS.revoke_every_batches
         swept = max(1, round(self.PARAMS.n_clients
                              * self.PARAMS.revoke_fraction))
         assert revocations(stormy_trace) \
@@ -94,7 +94,7 @@ class TestRevocationStorms:
         # still equal the plan's batch count — the accounting contract.
         trace, _ = generate_service_trace(self.PARAMS)
         assert len(batch_boundaries(trace)) \
-            == len(build_plan(self.PARAMS).batches)
+            == build_plan(self.PARAMS).columns.n_batches
 
     def test_storms_change_the_cache_key_but_defaults_do_not(self):
         from repro.engine.job import WorkloadSpec
@@ -115,4 +115,4 @@ class TestRevocationStorms:
         params = dataclasses.replace(self.PARAMS, workers=3, quantum=2)
         trace, _ = generate_service_trace(params)
         assert len(batch_boundaries(trace)) \
-            == len(build_plan(params).batches)
+            == build_plan(params).columns.n_batches

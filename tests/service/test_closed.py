@@ -12,6 +12,8 @@ from repro.service.closed import CALIBRATION_REQUESTS, calibration_params
 from repro.service.server import batch_boundaries
 from repro.sim.config import DEFAULT_CONFIG
 
+from .legacy import object_view
+
 CLOSED = ServiceParams(n_clients=6, n_requests=120, arrival="closed",
                        dispatch="replay")
 FREQ = DEFAULT_CONFIG.processor.frequency_hz
@@ -56,13 +58,13 @@ class TestKeyedPlans:
         # different schedules, not one stream re-timed.
         dv = build_plan_keyed(CLOSED, "domain_virt")
         mpkv = build_plan_keyed(CLOSED, "mpk_virt")
-        arrivals = lambda plan: [request.arrival for batch in plan.batches
-                                 for request in batch.requests]
+        arrivals = lambda plan: plan.columns.requests.arrivals[
+            plan.columns.member_rows].tolist()
         assert arrivals(dv) != arrivals(mpkv)
 
     def test_plans_are_deterministic(self):
-        assert build_plan_keyed(CLOSED, "domain_virt") == \
-            build_plan_keyed(CLOSED, "domain_virt")
+        assert object_view(build_plan_keyed(CLOSED, "domain_virt")) == \
+            object_view(build_plan_keyed(CLOSED, "domain_virt"))
 
     def test_nominal_build_plan_refuses_replay_dispatch(self):
         with pytest.raises(SimulationError):
@@ -102,7 +104,7 @@ class TestKeyedSpecs:
         assert set(cell) == {"domain_virt", "mpk_virt"}
         for scheme, stats in cell.items():
             plan = build_plan_keyed(CLOSED, scheme)
-            assert len(stats.mark_cycles) == len(plan.batches)
+            assert len(stats.mark_cycles) == plan.columns.n_batches
             assert stats.baseline_cycles is not None
 
 
@@ -115,12 +117,12 @@ class TestClosedLoopRejections:
                                arrival="closed", dispatch="replay",
                                think_cycles=500.0, max_queue=1)
         plan = build_plan_keyed(params, "domain_virt")
-        assert plan.rejected
-        assert plan.n_served + len(plan.rejected) == 120
+        assert plan.n_rejected
+        assert plan.n_served + plan.n_rejected == 120
         trace, _ws = generate_service_trace_keyed(params, "domain_virt")
         stats = replay_one(trace, "domain_virt",
                            marks=batch_boundaries(trace))
         summary = account(plan, trace, stats, frequency_hz=FREQ)
-        assert summary.n_rejected == len(plan.rejected)
+        assert summary.n_rejected == plan.n_rejected
         assert summary.n_offered == 120
         assert summary.n_served == plan.n_served

@@ -11,11 +11,12 @@ Three layers of equivalence, each pinned bit-for-bit:
   really was a no-op: pops never decrease in time and rids increase in
   pop order, so the emitted stream is already sorted by
   ``(arrival, rid)``;
-* **planning / serving** — the static planner fast path equals the
-  object planner, and the streamed columnar server emits event-for-event
-  the same trace as the retained ``serve_objects`` recorder path
-  (complementing the pre-PR golden hashes in
-  ``tests/service/test_golden_traces.py``).
+* **planning / serving** — the columnar planner makes the object
+  planner's decisions, and the streamed columnar server emits
+  event-for-event the same trace as the recorder serve, both held
+  verbatim in :mod:`tests.service.legacy` (complementing the golden
+  hashes in ``tests/service/test_golden_traces.py``; the full policy ×
+  loop × workers matrix is ``tests/service/test_planner_oracle.py``).
 """
 
 import heapq
@@ -27,11 +28,14 @@ import pytest
 from repro.service import ServiceParams, build_plan
 from repro.service.params import nominal_request_cycles
 from repro.service.server import ServiceWorkload
-from repro.service.traffic import (Request, RequestColumns,
-                                   arrival_gap, generate_request_columns,
-                                   generate_requests, think_gap)
+from repro.service.traffic import (arrival_gap, generate_request_columns,
+                                   think_gap)
 from repro.workloads.micro import ZipfSampler
 from repro.service.arrivals import pattern_by_name
+
+from . import legacy
+from .legacy import Request
+from .test_planner_oracle import legacy_signature, plan_signature
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +122,7 @@ def test_columns_equal_legacy_stream_edges(kwargs):
 
 def test_generate_requests_object_view_matches():
     params = ServiceParams(n_clients=8, n_requests=120)
-    assert generate_requests(params) == \
+    assert legacy.generate_requests(params) == \
         _legacy_open_loop(params, random.Random(params.seed))
 
 
@@ -141,15 +145,14 @@ def test_closed_loop_emission_already_sorted(pattern):
 def test_request_columns_round_trip():
     params = ServiceParams(n_clients=8, n_requests=64)
     cols = generate_request_columns(params)
-    objects = cols.to_requests()
-    back = RequestColumns.from_requests(objects)
+    objects = legacy.to_requests(cols)
+    back = legacy.from_requests(objects)
     _assert_stream_equal(back, objects)
-    assert cols.request(5) == objects[5]
-    assert cols.to_requests(rows=[3, 1]) == [objects[3], objects[1]]
+    assert legacy.to_requests(cols, rows=[3, 1]) == [objects[3], objects[1]]
 
 
 # ---------------------------------------------------------------------------
-# Planner fast path and streamed server vs. the retained object paths.
+# Planner and streamed server vs. the retired object paths.
 
 SERVE_CASES = {
     "default": dict(n_clients=8, n_requests=150),
@@ -166,37 +169,21 @@ SERVE_CASES = {
 }
 
 
-def _plan_signature(plan):
-    cols = plan.columns
-    return (cols.batch_starts.tolist(), cols.batch_clients.tolist(),
-            cols.batch_workers.tolist(),
-            cols.requests.rids[cols.member_rows].tolist(),
-            cols.requests.rids[cols.rejected_rows].tolist(),
-            plan.loop_iterations)
-
-
 @pytest.mark.parametrize("name", sorted(SERVE_CASES))
 def test_plan_columns_equal_object_plan(name):
-    """The static planner's columnar fast path packs exactly the same
-    batches (members, clients, worker slots, rejections, iteration
-    count) as the per-object dispatch loop."""
+    """The columnar planner packs exactly the batches (members, clients,
+    worker slots, rejections, iteration count) the verbatim object
+    planner packs."""
     params = ServiceParams(**SERVE_CASES[name])
-    fast = build_plan(params)
-    # The object plan path: rebuild via the batches/rejected object
-    # view and re-derive columns from it.
-    from repro.service.batching import PlanColumns, ServicePlan
-    object_plan = ServicePlan(params, batches=fast.batches,
-                              rejected=fast.rejected,
-                              loop_iterations=fast.loop_iterations)
-    assert _plan_signature(fast) == _plan_signature(object_plan)
-    assert fast == object_plan
+    assert plan_signature(build_plan(params)) == \
+        legacy_signature(legacy.build_plan(params))
 
 
 @pytest.mark.parametrize("name", sorted(SERVE_CASES))
 def test_streamed_serve_equals_recorder_serve(name):
     """The chunked columnar emitter produces event-for-event the same
-    trace (columns, layout, instruction count) as the retained
-    per-event recorder path."""
+    trace (columns, layout, instruction count) as the per-event
+    recorder serve."""
     params = ServiceParams(**SERVE_CASES[name])
     plan = build_plan(params)
 
@@ -205,15 +192,15 @@ def test_streamed_serve_equals_recorder_serve(name):
     streamed = streamed_ws.finish()
 
     object_ws = ServiceWorkload(params)
-    object_ws.serve_objects(plan)
-    legacy = object_ws.finish()
+    legacy.serve_objects(object_ws, plan)
+    recorded = object_ws.finish()
 
-    a, b = streamed.columns, legacy.columns
+    a, b = streamed.columns, recorded.columns
     assert a.kinds.tolist() == b.kinds.tolist()
     assert a.tids.tolist() == b.tids.tolist()
     assert a.icounts.tolist() == b.icounts.tolist()
     assert a.operand_a.tolist() == b.operand_a.tolist()
     assert a.operand_b.tolist() == b.operand_b.tolist()
-    assert streamed.total_instructions == legacy.total_instructions
-    assert streamed.layout.ptes == legacy.layout.ptes
-    assert streamed.layout.n_threads == legacy.layout.n_threads
+    assert streamed.total_instructions == recorded.total_instructions
+    assert streamed.layout.ptes == recorded.layout.ptes
+    assert streamed.layout.n_threads == recorded.layout.n_threads

@@ -56,7 +56,7 @@ class TestEngineRoundTrip:
         reloaded = engine.trace_for(spec)  # disk round-trip
         assert engine.cache_stats.disk_hits == 1
         assert batch_boundaries(reloaded) == marks
-        assert len(marks) == len(build_plan(spec.params).batches)
+        assert len(marks) == build_plan(spec.params).columns.n_batches
 
     def test_replay_marked_snapshots_every_scheme(self, engine):
         spec = WorkloadSpec.service(**TINY)

@@ -94,6 +94,11 @@ GOLDEN = {
                      "d297ea43682f90c50b451215e6cf6758", 3800),
     "unbounded": (dict(n_clients=8, n_requests=150, max_queue=0),
                   "54282a2cbd40e65c5017c5a340cd1c20", 1694),
+    # Recorded while the object planner still ran every non-static
+    # policy: weighted_fair's reordered heads on two workers.
+    "weighted-fair": (dict(n_clients=16, n_requests=300, workers=2,
+                           pattern="churn", sched_policy="weighted_fair"),
+                      "c7de023be8cd7126f59401b1093f46f4", 3800),
 }
 
 
@@ -112,6 +117,22 @@ def test_keyed_closed_loop_hash_pinned():
         "domain_virt")
     assert len(trace) == 1000
     assert content_hash(trace) == "de050bb853ebecada9324628dd23f758"
+
+
+def test_keyed_closed_loop_slo_adaptive_hash_pinned():
+    """The closed feedback loop under slo_adaptive: queue-full rejects,
+    SLO sheds (deferred retries) and epoch re-pins all shape the
+    schedule.  Recorded while that loop still issued per-object
+    requests."""
+    trace, _ws = generate_service_trace_keyed(
+        ServiceParams(n_clients=16, n_requests=150, workers=2,
+                      arrival="closed", dispatch="replay", pattern="churn",
+                      think_cycles=1000.0, max_queue=4,
+                      sched_policy="slo_adaptive", slo_p99_cycles=500.0,
+                      sched_epoch_batches=8),
+        "mpk_virt")
+    assert len(trace) == 805
+    assert content_hash(trace) == "0481e75831d621969c15b73c0d00ebc3"
 
 
 def test_unbounded_queue_matches_default_admission():

@@ -9,11 +9,11 @@ from repro.engine import replay_one
 from repro.errors import SimulationError
 from repro.service import (ServiceParams, account, batch_boundaries,
                            build_plan, generate_service_trace)
-from repro.service.batching import Batch, ServicePlan
-from repro.service.latency import served_batches
 from repro.service.server import ServiceWorkload, batch_markers
-from repro.service.traffic import Request
 from repro.sim.config import DEFAULT_CONFIG
+
+from .legacy import (Batch, Request, columnar_plan, object_view,
+                     serve_batch, served_batches)
 
 PARAMS = ServiceParams(n_clients=8, n_requests=150)
 FREQ = DEFAULT_CONFIG.processor.frequency_hz
@@ -32,9 +32,9 @@ class TestSummaryInvariants:
     def test_counts(self, accounted):
         plan, _trace, _stats, summary = accounted
         assert summary.n_served == plan.n_served
-        assert summary.n_rejected == len(plan.rejected)
+        assert summary.n_rejected == plan.n_rejected
         assert summary.n_offered == PARAMS.n_requests
-        assert summary.n_batches == len(plan.batches)
+        assert summary.n_batches == plan.columns.n_batches
         assert summary.latency.count == plan.n_served
 
     def test_latencies_are_positive_and_bounded_by_wall(self, accounted):
@@ -99,7 +99,7 @@ class TestPerWorkerAccounting:
     def test_every_planned_slot_is_accounted(self, multi):
         plan, trace, stats, summary = multi
         assert set(summary.worker_busy) == \
-            {batch.worker for batch in plan.batches} == {0, 1, 2}
+            set(plan.columns.batch_workers.tolist()) == {0, 1, 2}
         assert 0.0 < summary.busy_fraction <= 1.0
         # Three workers draining the same load finish sooner than one
         # shared wall clock would (the pre-per-worker recurrence).
@@ -114,7 +114,8 @@ class TestPerWorkerAccounting:
         wall = 0.0
         expected = []
         previous = 0.0
-        for batch, elapsed in zip(plan.batches, stats.mark_cycles):
+        for batch, elapsed in zip(object_view(plan).batches,
+                                  stats.mark_cycles):
             delta = elapsed - previous
             previous = elapsed
             ready = max(request.arrival for request in batch.requests)
@@ -140,11 +141,11 @@ class TestPerWorkerAccounting:
             Batch(index=1, client=1, requests=(requests[1],), worker=0),
             Batch(index=2, client=0, requests=(requests[2],), worker=1),
         ]
-        plan = ServicePlan(params=params, batches=batches)
+        plan = columnar_plan(params, batches)
         tids = workload.worker_tids
-        workload.serve_batch(batches[0], tids[1])
-        workload.serve_batch(batches[1], tids[0])
-        workload.serve_batch(batches[2], tids[1])
+        serve_batch(workload, batches[0], tids[1])
+        serve_batch(workload, batches[1], tids[0])
+        serve_batch(workload, batches[2], tids[1])
         trace = workload.finish()
 
         assert [marker.worker for marker in batch_markers(trace)] == \
@@ -167,7 +168,7 @@ class TestPerWorkerAccounting:
         trace = workload.finish()
         rejected = [Request(rid=i, client=i % 2, arrival=float(i),
                             is_write=False) for i in range(4)]
-        plan = ServicePlan(params=params, batches=[], rejected=rejected)
+        plan = columnar_plan(params, [], rejected)
         stats = replay_one(trace, "domain_virt")
         summary = account(plan, trace, stats, frequency_hz=FREQ)
         assert summary.n_served == 0

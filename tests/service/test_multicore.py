@@ -77,7 +77,7 @@ class TestShardSplit:
         plan, trace, shards = sharded
         # Every planned batch's marks land on exactly one shard.
         assert sum(len(shard.marks) for shard in shards) == \
-            len(plan.batches)
+            plan.columns.n_batches
         # Measured events partition; setup events replicate.
         kinds = trace.columns.kinds
         n_ctxsw = int(np.count_nonzero(kinds == CTXSW))
@@ -190,9 +190,9 @@ class TestCycleConservation:
     def test_every_request_is_accounted(self, replayed):
         plan, _shards, _stats, summary = replayed
         assert summary.latency.count == plan.n_served
-        assert summary.n_batches == len(plan.batches)
+        assert summary.n_batches == plan.columns.n_batches
         assert set(summary.worker_busy) == \
-            {batch.worker for batch in plan.batches}
+            set(plan.columns.batch_workers.tolist())
 
 
 class TestCrossCoreShootdowns:

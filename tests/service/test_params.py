@@ -21,6 +21,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             ServiceParams(**{field: value})
 
+    def test_quantum_below_one_fails_at_construction(self):
+        # Used to pass validation and fail only inside the round-robin
+        # scheduler at trace generation.
+        with pytest.raises(ValueError, match="quantum"):
+            ServiceParams(workers=2, quantum=0)
+        with pytest.raises(ValueError, match="quantum"):
+            ServiceParams(quantum=-1)
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(read_words=0, stack_per_request=0),
+        dict(read_words=0, stack_per_request=0, shared_words=3),
+    ])
+    def test_requests_without_events_are_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="read_words"):
+            ServiceParams(**kwargs)
+
+    def test_one_shared_word_is_enough_events(self):
+        ServiceParams(read_words=0, stack_per_request=0, shared_domains=1,
+                      shared_words=1)
+
     def test_frozen(self):
         params = ServiceParams()
         with pytest.raises(dataclasses.FrozenInstanceError):

@@ -1,0 +1,104 @@
+"""Property tests: conservation laws of the service pipeline over small
+randomly drawn :class:`ServiceParams`.
+
+* every offered row lands in exactly one of the plan's member, rejected
+  and shed rows;
+* every batch serves a single client on a worker slot in range;
+* at one worker, ``account`` and ``account_sharded`` over
+  ``shard_by_worker`` agree bit for bit.
+"""
+
+from dataclasses import replace
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.engine import replay_one
+from repro.service import (CalibratedClock, ServiceParams, account,
+                           account_sharded, batch_boundaries, build_plan,
+                           shard_by_worker)
+from repro.service.server import ServiceWorkload
+from repro.sim.config import DEFAULT_CONFIG
+
+FREQ = DEFAULT_CONFIG.processor.frequency_hz
+#: A fixed stand-in for a scheme-calibrated clock, so closed-feedback
+#: draws need no calibration replay.
+CLOCK = CalibratedClock(scheme="fixed", window_cycles=120.0,
+                        per_request_cycles=330.0)
+
+
+@st.composite
+def service_params(draw, workers=st.integers(1, 4)):
+    loop = draw(st.sampled_from(["open", "closed", "closed-feedback"]))
+    return ServiceParams(
+        n_clients=draw(st.integers(1, 8)),
+        n_requests=draw(st.integers(0, 120)),
+        seed=draw(st.integers(0, 2 ** 16)),
+        arrival="open" if loop == "open" else "closed",
+        dispatch="replay" if loop == "closed-feedback" else "nominal",
+        interarrival_cycles=draw(st.sampled_from([60.0, 150.0, 400.0])),
+        think_cycles=draw(st.sampled_from([500.0, 2000.0, 20000.0])),
+        pattern=draw(st.sampled_from(
+            ["poisson", "burst", "diurnal", "churn", "waves"])),
+        churn_period_cycles=5000.0,
+        sched_policy=draw(st.sampled_from(
+            ["static", "weighted_fair", "slo_adaptive"])),
+        slo_p99_cycles=draw(st.sampled_from([0.0, 400.0, 3000.0])),
+        sched_epoch_batches=draw(st.integers(1, 8)),
+        max_queue=draw(st.sampled_from([0, 1, 4, 16])),
+        batching=draw(st.sampled_from(["client", "none"])),
+        batch_limit=draw(st.integers(1, 4)),
+        batch_window=draw(st.integers(1, 8)),
+        workers=draw(workers))
+
+
+def plan_for(params):
+    return build_plan(params, CLOCK if params.dispatch == "replay" else None)
+
+
+@settings(max_examples=150, deadline=None)
+@given(service_params())
+def test_every_offered_row_has_exactly_one_outcome(params):
+    cols = plan_for(params).columns
+    outcomes = np.concatenate([cols.member_rows, cols.rejected_rows,
+                               cols.shed_rows])
+    assert sorted(outcomes.tolist()) == list(range(len(cols.requests)))
+    if params.arrival == "open" or params.dispatch == "nominal":
+        # A pre-generated stream offers exactly the request budget.
+        assert len(cols.requests) == params.n_requests
+
+
+@settings(max_examples=150, deadline=None)
+@given(service_params())
+def test_every_batch_serves_one_client_on_a_real_worker(params):
+    plan = plan_for(params)
+    cols = plan.columns
+    sizes = plan.batch_sizes()
+    assert (sizes >= 1).all() and (sizes <= params.batch_limit).all()
+    member_clients = cols.requests.clients[cols.member_rows]
+    assert (member_clients ==
+            np.repeat(cols.batch_clients, sizes)).all()
+    workers = cols.batch_workers
+    assert ((workers >= 0) & (workers < params.workers)).all()
+
+
+@settings(max_examples=40, deadline=None)
+@given(service_params(workers=st.just(1)),
+       st.sampled_from(["domain_virt", "mpk_virt"]))
+def test_one_worker_sharded_accounting_is_the_classic_one(params, scheme):
+    params = replace(params, n_requests=min(params.n_requests, 60))
+    plan = plan_for(params)
+    workload = ServiceWorkload(params)
+    workload.serve(plan)
+    trace = workload.finish()
+    stats = replay_one(trace, scheme, marks=batch_boundaries(trace))
+    classic = account(plan, trace, stats, frequency_hz=FREQ)
+    shards = shard_by_worker(trace)
+    sharded = account_sharded(
+        plan, shards,
+        [replay_one(shard.trace, scheme, marks=shard.marks)
+         for shard in shards],
+        frequency_hz=FREQ)
+    assert sharded.to_dict() == classic.to_dict()
+    assert sharded.latency.samples == classic.latency.samples

@@ -18,12 +18,14 @@ from repro.scenario.library import find_scenario
 from repro.scenario.run import serve_compiled
 from repro.service import (ServiceParams, account, build_plan, jain_index,
                            policy_names, profile_tenants)
-from repro.service.batching import (Batch, NominalClock, ServicePlan,
-                                    _closed_feedback_plan, _take_batch)
-from repro.service.sched import SchedState, policy_by_name
+from repro.service.batching import NominalClock
+from repro.service.sched import policy_by_name
 from repro.service.server import batch_boundaries, generate_service_trace
-from repro.service.traffic import Request, generate_requests, think_gap
+from repro.service.traffic import think_gap
 from repro.sim.config import DEFAULT_CONFIG
+
+from .legacy import (Batch, ObjectPlan, Request, _take_batch,
+                     generate_requests, object_view)
 
 FREQ = DEFAULT_CONFIG.processor.frequency_hz
 
@@ -73,8 +75,7 @@ def _legacy_stream_plan(params, clock):
         batches.append(Batch(index=len(batches), client=head.client,
                              requests=tuple(members), worker=slot))
         free[slot] = now + clock.batch_cycles(len(members))
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
+    return ObjectPlan(params, batches, rejected, loop_iterations=iterations)
 
 
 def _legacy_closed_plan(params, clock):
@@ -122,8 +123,7 @@ def _legacy_closed_plan(params, clock):
                 pending,
                 (completion + think_gap(params, rng, completion),
                  request.client))
-    return ServicePlan(params=params, batches=batches, rejected=rejected,
-                       loop_iterations=iterations)
+    return ObjectPlan(params, batches, rejected, loop_iterations=iterations)
 
 
 class TestStaticBitIdentity:
@@ -132,7 +132,7 @@ class TestStaticBitIdentity:
     @pytest.mark.parametrize("workers", [1, 2, 4])
     def test_stream_plan_is_bit_identical(self, workers):
         params = replace(CHURN, workers=workers)
-        current = build_plan(params)
+        current = object_view(build_plan(params))
         legacy = _legacy_stream_plan(params, NominalClock(params))
         assert current.batches == legacy.batches
         assert current.rejected == legacy.rejected
@@ -145,14 +145,12 @@ class TestStaticBitIdentity:
         params = ServiceParams(n_clients=6, n_requests=120, workers=workers,
                                arrival="closed", dispatch="replay")
         clock = NominalClock(params)
-        policy = policy_by_name("static")
-        state = SchedState(params, clock, max(1, params.workers))
-        current = _closed_feedback_plan(params, clock, policy, state)
+        current = object_view(build_plan(params, clock))
         legacy = _legacy_closed_plan(params, clock)
         assert current.batches == legacy.batches
         assert current.rejected == legacy.rejected
         assert current.loop_iterations == legacy.loop_iterations
-        assert state.shed == [] and state.migrations == 0
+        assert current.shed == [] and current.migrations == 0
 
     def test_default_policy_is_static(self):
         assert ServiceParams().sched_policy == "static"
@@ -206,15 +204,16 @@ class TestRebalancingConservation:
 
     def test_requests_partition_exactly(self, plan):
         offered = generate_requests(plan.params)
-        outcome = [r.rid for b in plan.batches for r in b.requests]
-        outcome += [r.rid for r in plan.rejected]
-        outcome += [r.rid for r in plan.shed]
+        view = object_view(plan)
+        outcome = [r.rid for b in view.batches for r in b.requests]
+        outcome += [r.rid for r in view.rejected]
+        outcome += [r.rid for r in view.shed]
         assert sorted(outcome) == [r.rid for r in offered]
 
     def test_batches_keep_the_window_discipline(self, plan):
         # Reordering picks *which* client is served, never mixes
         # clients inside one permission window.
-        for batch in plan.batches:
+        for batch in object_view(plan).batches:
             assert len({r.client for r in batch.requests}) == 1
             assert batch.client == batch.requests[0].client
             assert 0 <= batch.worker < plan.params.workers

@@ -7,7 +7,9 @@ from repro.engine import replay_one
 from repro.errors import ProtectionFault, SimulationError
 from repro.permissions import Perm
 from repro.service import (ServiceParams, ServiceWorkload, batch_boundaries,
-                           build_plan, generate_service_trace, served_batches)
+                           build_plan, generate_service_trace)
+
+from .legacy import object_view, served_batches
 
 SMALL = ServiceParams(n_clients=8, n_requests=120)
 
@@ -22,7 +24,7 @@ class TestTraceShape:
     def test_one_permission_window_per_batch(self, generated):
         trace, plan = generated
         perms = [event for event in trace.events if event[0] == PERM]
-        assert len(perms) == 2 * len(plan.batches)
+        assert len(perms) == 2 * plan.columns.n_batches
         # Windows strictly alternate: open RW, close NONE, same domain.
         for opener, closer in zip(perms[0::2], perms[1::2]):
             assert opener[4] == int(Perm.RW)
@@ -45,7 +47,7 @@ class TestBatchBoundaries:
     def test_one_mark_per_batch_pointing_past_the_close(self, generated):
         trace, plan = generated
         marks = batch_boundaries(trace)
-        assert len(marks) == len(plan.batches)
+        assert len(marks) == plan.columns.n_batches
         for mark in marks:
             closer = trace.events[mark - 1]
             assert closer[0] == PERM and closer[4] == int(Perm.NONE)
@@ -55,13 +57,13 @@ class TestBatchBoundaries:
         # The boundaries come from trace content alone — the property
         # that makes cached traces re-markable.
         trace, plan = generated
-        assert len(batch_boundaries(trace)) == len(plan.batches)
+        assert len(batch_boundaries(trace)) == plan.columns.n_batches
 
 
 class TestServedBatches:
     def test_single_worker_is_plan_order(self, generated):
         trace, plan = generated
-        assert served_batches(trace, plan) == plan.batches
+        assert served_batches(trace, plan) == object_view(plan).batches
 
     def test_multi_worker_is_an_interleaved_permutation(self):
         params = ServiceParams(n_clients=8, n_requests=120,
@@ -71,8 +73,8 @@ class TestServedBatches:
         workload.serve(plan)
         order = served_batches(workload.finish(), plan)
         assert sorted(b.index for b in order) == \
-            list(range(len(plan.batches)))
-        assert [b.index for b in order] != [b.index for b in plan.batches]
+            list(range(plan.columns.n_batches))
+        assert [b.index for b in order] != sorted(b.index for b in order)
         # Within one worker slot, partition order is preserved.
         for slot in range(3):
             mine = [b.index for b in order if b.worker == slot]

@@ -4,7 +4,9 @@ from collections import Counter
 
 import pytest
 
-from repro.service import ServiceParams, generate_requests
+from repro.service import ServiceParams
+
+from .legacy import generate_requests
 
 
 class TestDeterminism:

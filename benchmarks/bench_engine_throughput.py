@@ -104,9 +104,9 @@ def test_replay_throughput(benchmark, generated, scheme):
 
 
 def test_replay_throughput_erim(benchmark, generated_erim):
-    """erim on the in-budget trace — tracks the 'mpk' fused kernel
-    family with the call-gate envelope (see test_replay_throughput for
-    the warmup rationale)."""
+    """erim on the in-budget trace — tracks the 'mpk' kernel family
+    (live-TLB walker) with the call-gate envelope (see
+    test_replay_throughput for the warmup rationale)."""
     trace, _ws = generated_erim
 
     def replay():

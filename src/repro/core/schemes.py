@@ -48,7 +48,7 @@ class CostDescriptor:
     """What a protection scheme *costs*, declared rather than inferred.
 
     Every consumer that used to pattern-match on scheme classes reads
-    this instead: the fast engine picks a fused kernel family from
+    this instead: the fast engine picks a kernel family from
     ``check``/``invalidates_tlb`` (``repro.cpu.fast_timing.kernel_for``),
     multicore replay attributes cross-core shootdown slices only to
     schemes with ``broadcast_shootdown``, and the serving layer derives

@@ -8,59 +8,64 @@ mark snapshots, metrics).  The design splits per-event work into what is
 a pure function of the access stream and what depends on evolving
 protection state:
 
-* **Radiograph** — one classification pass over the trace assigns every
-  memory event its TLB level (L1/L2/miss) and cache level (L1/L2/DRAM/
-  NVM) plus the loads/stores/PMO totals.  The *cache* stream is a pure
-  function of the access stream for **every** scheme (schemes never
-  touch the caches), so all engines replay cache penalties from the
-  radiograph.  The *TLB* stream is baseline-pure; it stays valid for any
-  scheme that never invalidates TLB entries.  The radiograph also tracks
-  the attach/detach timeline, yielding the domain tag ``domain_virt``
-  would fill per TLB entry, and the per-event permission-check records
-  that scheme needs.  Everything is cached on the trace's
+* **Radiograph** — one classification pass over the trace packs every
+  event into a one-byte code: memory access or not, store or not, TLB
+  level (L1/L2/miss), cache level (L1/L2/DRAM/NVM), and whether the page
+  belongs to a PMO — in the baseline view and in ``domain_virt``'s view,
+  where a domain tags TLB entries only while it is attached.  The
+  *cache* levels are a pure function of the access stream for **every**
+  scheme (schemes never touch the caches); the *TLB* levels stay valid
+  for any scheme that never invalidates TLB entries.  The pass also
+  derives the per-event permission-check records ``domain_virt`` needs.
+  Everything is cached on the trace's
   :class:`~repro.cpu.trace.TraceColumns`, so a sweep pays the pass once
   per trace and geometry.
 
-* **Codes kernel** (``baseline``/``lowerbound``): no memory-path charges
-  and no TLB feedback, so replay collapses to three float adds per event
-  from precomputed penalty streams.
+* **One cycle fold** — per memory event the reference adds
+  ``icount*cpi``, then the TLB penalty, then the cache penalty, as three
+  separate ``+=``.  :func:`_fold_cycles` interleaves the three addend
+  streams and folds them with ``np.cumsum``, a strictly sequential left
+  fold, so every prefix total is the reference's float bit for bit (a
+  zero addend is exact).  It runs in chunks, carrying the running total
+  into each chunk's first addend, so its transient memory is O(chunk).
+  The final total and every mark snapshot are index lookups into the
+  fold.  For ``codes``/``dv`` schemes the fold does not depend on the
+  scheme and is cached next to the radiograph; live-TLB schemes fold
+  after their walk, from the TLB levels the walk recorded.
 
-* **DV kernel** (``domain_virt``): the scheme never invalidates the TLB
-  (its headline advantage), so cycles replay through the codes kernel
-  while a side loop replays *only* the protection machinery — PTLB
-  lookups with an inlined pseudo-LRU touch, batched 1-cycle access
-  charges, and the scheme's own refill/writeback methods on misses.
+* **Two walkers** replay what depends on protection state; neither adds
+  a float.  The *stream walker* (``codes``: baseline, lowerbound;
+  ``dv``: domain_virt) visits only the cold events and, for dv, the
+  radiograph's permission-check records — PTLB lookups with an inlined
+  pseudo-LRU touch, batched access charges, and the scheme's own
+  refill/writeback methods on misses.  The *live-TLB walker* (``mpk``:
+  mpk, mpk_virt, erim, pks_seal, poe2; ``swtable``: libmpk, dpti)
+  simulates the TLB against flat-array levels
+  (:class:`~repro.mem.tlb.ArrayTLBLevel`), because key remapping or
+  domain closing flushes entries.  Its permission check reads the
+  entry's tag — the pkey for a PKRU register read, the domain for the
+  scheme's ``_swtable_probe`` — memoised per (tag, thread) until the
+  next cold event or full TLB walk.  Every cold path (page walk, key
+  remap, SETPERM, context switch, attach/detach) calls the *real*
+  scheme methods, so charging and state transitions are the reference
+  code's own.
 
-* **Fused kernels** (``check="pkru"`` / ``check="swtable"`` schemes):
-  key remapping or domain closing flushes TLB entries, so the TLB is
-  simulated live against flat-array levels
-  (:class:`~repro.mem.tlb.ArrayTLBLevel`) with the hit path and the
-  declared permission check inlined — a PKRU register read for
-  ``pkru`` schemes, a memoised ``_swtable_probe`` for ``swtable``
-  schemes; every cold path (page walk, key remap, SETPERM, context
-  switch, attach/detach) calls the *real* scheme methods, so charging
-  and state transitions are the reference code's own.
-
-Which kernel a scheme gets is decided by :func:`kernel_for` from the
+Which walker a scheme gets is decided by :func:`kernel_for` from the
 scheme's declared :class:`~repro.core.schemes.CostDescriptor` — the
 ``check`` kind picks the family, ``invalidates_tlb`` decides whether
-the radiograph TLB stream may be replayed — not by matching scheme
+the radiograph TLB levels may be replayed — not by matching scheme
 classes, so a new scheme that declares its cost model correctly is fast
 from its first replay.
 
-Bit-identity hinges on float-add order: per memory event the reference
-adds ``icount*cpi``, then the TLB penalty, then the cache penalty, as
-three separate ``+=``.  Every kernel preserves exactly that sequence (a
-zero penalty adds ``0``, which is exact).  Integer charges are batched
-as ``n*c`` where that is exact; anything non-integer goes through the
-reference charge path event by event.
-
-One caveat: when an enforced :class:`~repro.errors.ProtectionFault`
-aborts a replay mid-trace, counters that the fast path batches from the
-radiograph (loads/stores/PMO accesses and cache hit/miss totals) reflect
-the whole trace rather than the aborted prefix.  Completed replays —
-including ``enforce_protection=False`` runs that *count* faults — are
-bit-identical throughout.
+Scheme charges are integers, so a walker batches ``n`` identical
+charges as ``n*c`` (exact in a float accumulator); anything non-integer
+goes through the reference charge path event by event.  Event counters
+(loads/stores/PMO accesses, TLB and cache hits/misses) are credited
+from the event codes over exactly the events the replay reached: the
+whole trace, or, when an enforced :class:`~repro.errors.ProtectionFault`
+aborts it, the faulting prefix — the faulting access's TLB lookup and
+load/store/PMO counts included, its cache access not, in the
+reference's order.
 
 Selection is centralised in :func:`make_replay_engine`, controlled by
 the ``REPRO_FAST`` environment knob (default on; ``REPRO_FAST=0`` forces
@@ -83,8 +88,6 @@ import numpy as np
 
 from .. import obs
 from ..permissions import Perm
-from ..core.libmpk import LibmpkScheme
-from ..core.mpk_virt import MPKVirtScheme
 from ..core.schemes import ProtectionScheme
 from ..errors import ProtectionFault, SimulationError
 from ..mem.cache import ArrayCacheHierarchy, ArrayCacheLevel
@@ -100,12 +103,44 @@ from .timing import ReplayEngine
 #: Environment knob: ``REPRO_FAST=0`` disables the fast engine globally.
 ENV_FAST = "REPRO_FAST"
 
-# Fused kernel families; which one a scheme gets is derived from its
+# Kernel families; which one a scheme gets is derived from its
 # CostDescriptor by kernel_for().
 _CODES = "codes"
 _DV = "dv"
 _MPK = "mpk"
 _SWTABLE = "swtable"
+
+# Event codes (one byte per event).  Bits 0-1 hold the cache level
+# (L1/L2/DRAM/NVM), bits 2-3 the TLB level (L1/L2/miss); non-memory
+# events are 0.  The live-TLB walker records its own TLB levels in the
+# same bit positions.
+_TLB_L2 = 1 << 2
+_TLB_MISS = 2 << 2
+_PMO = 16      # the page belongs to a PMO
+_DV_PMO = 32   # ... whose domain is attached (domain_virt's TLB tag)
+_MEM = 64      # a load, store or instruction fetch
+_STORE = 128
+
+_CODE = np.arange(256)
+#: Per-code indicator columns: loads, stores, PMO accesses, dv PMO
+#: accesses, TLB L2 hits, TLB misses, cache L1 hits, cache L2 hits,
+#: memory accesses.  ``np.bincount(codes) @ _TALLY`` counts them all.
+_TALLY = np.stack([
+    (_CODE & (_MEM | _STORE)) == _MEM,
+    (_CODE & _STORE) != 0,
+    (_CODE & _PMO) != 0,
+    (_CODE & _DV_PMO) != 0,
+    ((_CODE >> 2) & 3) == 1,
+    ((_CODE >> 2) & 3) == 2,
+    ((_CODE & _MEM) != 0) & ((_CODE & 3) == 0),
+    ((_CODE & _MEM) != 0) & ((_CODE & 3) == 1),
+    ((_CODE & _MEM) != 0) & ((_CODE & 3) >= 2),
+], axis=1).astype(np.int64)
+_TLB_TALLY = slice(4, 6)
+_CACHE_TALLY = slice(6, 9)
+
+#: Events per chunk of the cycle fold (three float64 addends each).
+_FOLD_CHUNK = 1 << 16
 
 #: Schemes already warned about falling back to the reference
 #: interpreter (one warning per scheme name per process).
@@ -119,16 +154,17 @@ def fast_replay_enabled() -> bool:
 
 def kernel_for(config: SimConfig,
                scheme_class: Type[ProtectionScheme]) -> Optional[str]:
-    """The fused kernel family for a scheme's declared cost model.
+    """The kernel family for a scheme's declared cost model.
 
     Derived from the scheme's :class:`~repro.core.schemes.CostDescriptor`
     — the capability dispatch replacing the old class-identity table:
 
-    * free page checks, TLB never invalidated      → codes kernel
-    * PTLB consultation, TLB never invalidated      → dv kernel
-      (integer per-access charge only — batched as ``n*c``)
-    * PKRU-register checks                          → mpk kernel
-    * software-table checks (``_swtable_probe``)    → swtable kernel
+    * free page checks, TLB never invalidated      → codes (stream walker)
+    * PTLB consultation, TLB never invalidated      → dv (stream walker;
+      integer per-access charge only — batched as ``n*c``)
+    * PKRU-register checks                          → mpk (live-TLB walker)
+    * software-table checks (``_swtable_probe``)    → swtable (live-TLB
+      walker)
 
     Returns ``None`` when no family covers the descriptor/config pair
     (the caller falls back to the reference interpreter).
@@ -185,7 +221,7 @@ def make_replay_engine(config: SimConfig, kernel: Kernel, process: Process,
     """Build the fastest replay engine that is exact for this run.
 
     Falls back to the reference interpreter when ``REPRO_FAST=0``, when
-    event tracing is active (the fast kernels emit no per-event records),
+    event tracing is active (the fast engine emits no per-event records),
     or for descriptor/config pairs outside the kernel families' envelope
     — the last case counted and warned via :func:`_note_fast_fallback`.
     """
@@ -201,11 +237,10 @@ def make_replay_engine(config: SimConfig, kernel: Kernel, process: Process,
 def _cold_events(columns: tr.TraceColumns) -> List[tuple]:
     """The trace's non-memory events as ``(index, kind, tid, a, b)``.
 
-    The kernels consume these through a monotone cursor — the cold
-    events of a segment arrive in index order, so no per-event index
-    bookkeeping is needed on the hot path.  ``b`` is pre-converted to
-    :class:`Perm` for PERM/INIT_PERM events, saving an enum construction
-    per event per replay.
+    The walkers consume these through a monotone cursor — the cold
+    events of a segment arrive in index order.  ``b`` is pre-converted
+    to :class:`Perm` for PERM/INIT_PERM events, saving an enum
+    construction per event per replay.
     """
     kinds = columns.kinds
     mask = (kinds >= 2) & (kinds != 7)
@@ -217,6 +252,37 @@ def _cold_events(columns: tr.TraceColumns) -> List[tuple]:
                 idx.tolist(), kinds[idx].tolist(), columns.tids[idx].tolist(),
                 columns.operand_a[idx].tolist(),
                 columns.operand_b[idx].tolist())]
+
+
+def _fold_cycles(icounts: np.ndarray, cpi, tlb_codes: np.ndarray,
+                 tlb_pen: np.ndarray, codes: np.ndarray,
+                 cache_pen: np.ndarray) -> np.ndarray:
+    """Machine cycles after every event prefix, exactly as the reference.
+
+    ``out[i]`` is the total after events ``[0, i)``.  Per event the
+    addends ``icount*cpi``, ``tlb_pen[tlb_code]`` and
+    ``cache_pen[code]`` are interleaved and folded by ``np.cumsum`` —
+    a strictly sequential left fold, i.e. the reference's three ``+=``
+    in the reference's order.  Each chunk's first addend absorbs the
+    running total, which continues the same fold across chunks.
+    """
+    n = len(codes)
+    out = np.empty(n + 1)
+    out[0] = 0.0
+    buf = np.empty(3 * min(n, _FOLD_CHUNK))
+    total = 0.0
+    for s in range(0, n, _FOLD_CHUNK):
+        e = min(n, s + _FOLD_CHUNK)
+        x = buf[:3 * (e - s)]
+        x[0::3] = icounts[s:e]
+        x[0::3] *= cpi
+        x[1::3] = tlb_pen[tlb_codes[s:e]]
+        x[2::3] = cache_pen[codes[s:e]]
+        x[0] += total
+        np.cumsum(x, out=x)
+        out[s + 1:e + 1] = x[2::3]
+        total = x[-1]
+    return out
 
 
 class FastReplayEngine(ReplayEngine):
@@ -261,8 +327,8 @@ class FastReplayEngine(ReplayEngine):
     def _tlb_miss(self, vpn: int, a: int, tid: int) -> tuple:
         """Full TLB miss: page walk (+fault), tag fill, install both levels.
 
-        The caller has already counted the miss and charged the walk
-        penalty, mirroring the reference order (penalty before walk).
+        Mirrors the reference order: the walk follows the miss, the
+        scheme supplies the tags, then both levels are filled.
         """
         process = self.process
         pte = process.page_table.get(vpn)
@@ -277,49 +343,20 @@ class FastReplayEngine(ReplayEngine):
             self._vma_of_vpn[vpn] = vma
         pkey, domain = self.scheme.fill_tags(vma, tid)
         pfn = pte.pfn
-        rec = (vpn, pfn, pte.perm, pkey, domain, pfn << 6,
-               self._nvm_pen if pfn >= NVM_FRAME_BASE else self._dram_pen)
-        # Inline fill_rec for both levels: the caller missed both, so the
-        # vpn is installed (never replaced) — first free slot, else the
-        # set's minimum age stamp (the per-set LRU victim).
-        sidx = vpn ^ (vpn >> 8) ^ (vpn >> 16) ^ (vpn >> 24)
-        for level in (self.tlb.l1, self.tlb.l2):
-            slot_of = level.slot_of
-            recs = level.recs
-            ages = level.ages
-            base = (sidx % level.n_sets) * level.ways
-            free = -1
-            victim_slot = base
-            victim_age = 1 << 62
-            for s in range(base, base + level.ways):
-                if recs[s] is None:
-                    free = s
-                    break
-                age = ages[s]
-                if age < victim_age:
-                    victim_age = age
-                    victim_slot = s
-            if free < 0:
-                free = victim_slot
-                victim = recs[free]
-                del slot_of[victim[0]]
-                if victim[4]:
-                    vpns = level._vpns_by_domain.get(victim[4])
-                    if vpns is not None:
-                        vpns.discard(victim[0])
-            recs[free] = rec
-            slot_of[vpn] = free
-            ages[free] = level._age
-            level._age += 1
-            if domain:
-                level._vpns_by_domain.setdefault(domain, set()).add(vpn)
+        rec = (vpn, pfn, pte.perm, pkey, domain, pfn << 6, None)
+        self.tlb.l1.fill_rec(rec)
+        self.tlb.l2.fill_rec(rec)
         return rec
 
     # -- radiograph -----------------------------------------------------------
 
     def _build_radiograph(self, columns: tr.TraceColumns,
-                          attach_table) -> dict:
-        """Classify every memory event by TLB/cache outcome.
+                          attach_table) -> Tuple[np.ndarray, List[tuple]]:
+        """Classify every event by TLB/cache outcome.
+
+        Returns the per-event codes (one ``uint8`` each, bit layout
+        beside ``_TLB_L2``) and ``domain_virt``'s permission-check
+        records.
 
         The TLB/cache classification replays baseline behaviour — a pure
         function of the access stream; the cache half is valid for every
@@ -333,9 +370,8 @@ class FastReplayEngine(ReplayEngine):
 
         Alongside the codes the pass derives, per event, the ``dv``
         view: the domain tag ``domain_virt.fill_tags`` (DRT walk against
-        the attach/detach timeline) would put in each TLB entry, the
-        resulting permission-check records, and the PMO-access total
-        under those tags.
+        the attach/detach timeline) would put in each TLB entry, and the
+        resulting permission-check records.
         """
         config = self.config
         tlb_cfg = config.tlb
@@ -381,12 +417,9 @@ class FastReplayEngine(ReplayEngine):
         a_arr = columns.operand_a
         vpn_l = (a_arr >> 12).tolist()
         sub_l = ((a_arr >> 6) & 63).tolist()
-        codes = [0] * len(kinds_l)
+        codes = bytearray(len(kinds_l))
         attached: set = set()
         dv_checks: List[tuple] = []
-        n_l1h = n_l2h = n_tm = 0
-        n_ld = n_st = n_pmo = n_dv_pmo = 0
-        n_c1h = n_c1m = n_c2h = n_mem = 0
         i = -1
 
         for k, tid, a, vpn, sub in zip(kinds_l, tids_l, a_l, vpn_l, sub_l):
@@ -397,16 +430,14 @@ class FastReplayEngine(ReplayEngine):
                     ages1[s] = t1
                     t1 += 1
                     rec = recs1[s]
-                    tc = 0
-                    n_l1h += 1
+                    code = _MEM
                 else:
                     s = g2(vpn)
                     if s is not None:
                         ages2[s] = t2
                         t2 += 1
                         rec = recs2[s]
-                        tc = 1
-                        n_l2h += 1
+                        code = _MEM | _TLB_L2
                         # Inline L1 promote (vpn absent: install only).
                         base = ((vpn ^ (vpn >> 8) ^ (vpn >> 16)
                                  ^ (vpn >> 24)) % ns1) * w1
@@ -449,17 +480,14 @@ class FastReplayEngine(ReplayEngine):
                         tl2.fill_rec(rec)
                         t1 = tl1._age
                         t2 = tl2._age
-                        tc = 2
-                        n_tm += 1
+                        code = _MEM | _TLB_MISS
                 if k == 1:
-                    n_st += 1
-                else:
-                    n_ld += 1
+                    code |= _STORE
                 if rec[4]:
-                    n_pmo += 1
+                    code |= _PMO
                 dv_dom = rec[3]
                 if dv_dom:
-                    n_dv_pmo += 1
+                    code |= _DV_PMO
                     if k != 7:
                         dv_checks.append((i, dv_dom, rec[2], k == 1, tid, a))
                 elif k != 7:
@@ -473,19 +501,14 @@ class FastReplayEngine(ReplayEngine):
                 if cs is not None:
                     cages1[cs] = u1
                     u1 += 1
-                    cc = 0
-                    n_c1h += 1
                 else:
-                    n_c1m += 1
                     cs = cg2(line)
                     if cs is not None:
                         cages2[cs] = u2
                         u2 += 1
-                        cc = 1
-                        n_c2h += 1
+                        code |= 1
                     else:
-                        n_mem += 1
-                        cc = 3 if rec[6] else 2
+                        code |= 3 if rec[6] else 2
                         # Inline L2 install (line missed both levels).
                         base = (line % cns2) * cw2
                         free = -1
@@ -526,9 +549,8 @@ class FastReplayEngine(ReplayEngine):
                     csl1[line] = free
                     cages1[free] = u1
                     u1 += 1
-                codes[i] = 8 + (tc << 2) + cc
+                codes[i] = code
             elif k <= 6:
-                codes[i] = 8 - k
                 if k == 5:
                     vma, _ = attach_table[a]
                     attached.add(vma.pmo_id)
@@ -537,56 +559,7 @@ class FastReplayEngine(ReplayEngine):
             else:  # pragma: no cover - malformed trace
                 raise SimulationError(f"unknown event kind {k}")
 
-        return {
-            "codes": codes, "dv_checks": dv_checks,
-            "tlb_l1_hits": n_l1h, "tlb_l2_hits": n_l2h, "tlb_misses": n_tm,
-            "loads": n_ld, "stores": n_st,
-            "pmo_accesses": n_pmo, "dv_pmo_accesses": n_dv_pmo,
-            "cache_l1_hits": n_c1h, "cache_l1_misses": n_c1m,
-            "cache_l2_hits": n_c2h, "mem_accesses": n_mem,
-        }
-
-    # -- counter settlement ---------------------------------------------------
-
-    def _flush_totals(self, rad: dict) -> None:
-        """Credit the radiograph's precomputed totals to this run."""
-        stats = self.stats
-        kind = self._kernel_kind
-        stats.loads += rad["loads"]
-        stats.stores += rad["stores"]
-        stats.pmo_accesses += rad["dv_pmo_accesses" if kind == _DV
-                                  else "pmo_accesses"]
-        caches = self.caches
-        caches.l1.hits += rad["cache_l1_hits"]
-        caches.l1.misses += rad["cache_l1_misses"]
-        caches.l2.hits += rad["cache_l2_hits"]
-        caches.l2.misses += rad["mem_accesses"]
-        caches.mem_accesses += rad["mem_accesses"]
-        tlb = self.tlb
-        if kind in (_CODES, _DV):
-            # No TLB feedback for these schemes: the radiograph TLB
-            # stream is this run's TLB stream.
-            n_l1h = rad["tlb_l1_hits"]
-            n_l2h = rad["tlb_l2_hits"]
-            n_tm = rad["tlb_misses"]
-        else:
-            # Live TLB: the kernels counted L2 hits and misses; L1 hits
-            # are the remaining memory events.
-            n_l2h = self._seen_l2h
-            n_tm = self._seen_tm
-            n_l1h = rad["loads"] + rad["stores"] - n_l2h - n_tm
-            # L2-level and stats counters were flushed per segment;
-            # only the derived L1-hit totals remain.
-            tlb.l1.hits += n_l1h
-            stats.tlb_l1_hits += n_l1h
-            return
-        tlb.l1.hits += n_l1h
-        tlb.l1.misses += n_l2h + n_tm
-        tlb.l2.hits += n_l2h
-        tlb.l2.misses += n_tm
-        stats.tlb_l1_hits += n_l1h
-        stats.tlb_l2_hits += n_l2h
-        stats.tlb_misses += n_tm
+        return np.frombuffer(codes, dtype=np.uint8), dv_checks
 
     # -- driver ---------------------------------------------------------------
 
@@ -604,17 +577,8 @@ class FastReplayEngine(ReplayEngine):
                         else trace.attach_info)
         self._attach_table = attach_table
         columns = trace.columns
-        kinds_l, tids_l, _, a_l, _ = columns.lists()
-        n = len(kinds_l)
+        n = len(columns)
         cache = columns.replay_cache
-
-        cpi = config.processor.base_cpi
-        self._badd = cache(("badd", cpi),
-                           lambda: (columns.icounts * cpi).tolist())
-        self._cold = cache(("cold",), lambda: _cold_events(columns))
-        self._k_l = kinds_l
-        self._t_l = tids_l
-        self._a_l = a_l
 
         tlb_cfg = config.tlb
         cache_cfg = config.cache
@@ -622,58 +586,74 @@ class FastReplayEngine(ReplayEngine):
                     tlb_cfg.l2_entries, tlb_cfg.l2_ways,
                     cache_cfg.l1_size, cache_cfg.l1_ways,
                     cache_cfg.l2_size, cache_cfg.l2_ways)
-        rad = cache(("radiograph", *geometry),
-                    lambda: self._build_radiograph(columns, attach_table))
-        # Per-event penalty streams derived from the codes: raw config
-        # ints for TLB penalties, overlap-scaled floats for the cache —
-        # the reference's own addend types and values.
-        tpen = (0, tlb_cfg.l2_latency, tlb_cfg.miss_penalty)
-        tab_t = [0] * 20
-        tab_c = [0.0] * 20
-        cpen4 = (self._pen_zero, self._pen_l2, self._dram_pen, self._nvm_pen)
-        for tc in range(3):
-            for cc in range(4):
-                tab_t[8 + (tc << 2) + cc] = tpen[tc]
-                tab_c[8 + (tc << 2) + cc] = cpen4[cc]
-        self._cpen = cache(
-            ("cpen", *geometry, cache_cfg.l1_latency, cache_cfg.l2_latency,
-             config.memory.dram_latency, config.memory.nvm_latency,
-             config.processor.stall_overlap),
-            lambda: [tab_c[c] for c in rad["codes"]])
+        codes, dv_checks = cache(
+            ("radiograph", *geometry),
+            lambda: self._build_radiograph(columns, attach_table))
+        self._cold = cache(("cold",), lambda: _cold_events(columns))
+        # Per-code penalty addends: raw config values for the TLB,
+        # overlap-scaled floats for the cache — the reference's own.
+        cpi = config.processor.base_cpi
+        tlb_pen = np.array([0, tlb_cfg.l2_latency, tlb_cfg.miss_penalty, 0],
+                           dtype=np.float64)[(_CODE >> 2) & 3]
+        cache_pen = np.array([self._pen_zero, self._pen_l2, self._dram_pen,
+                              self._nvm_pen], dtype=np.float64)[_CODE & 3]
+
         kind = self._kernel_kind
         if kind in (_CODES, _DV):
-            self._tadd = cache(
-                ("tadd", *geometry, tlb_cfg.l2_latency, tlb_cfg.miss_penalty),
-                lambda: [tab_t[c] for c in rad["codes"]])
-        if kind == _CODES:
-            runner = self._run_codes
-        elif kind == _DV:
-            self._dv_checks = rad["dv_checks"]
+            walk = self._walk_stream
+            self._checks = dv_checks if kind == _DV else ()
             self._cj = 0
-            runner = self._run_dv
-        elif kind == _MPK:
-            runner = self._run_mpk
+            tlb_codes = codes
         else:
-            runner = self._run_swtable
-        self._seen_l2h = 0
-        self._seen_tm = 0
+            walk = self._walk_live
+            self._lists = columns.lists()
+            self._tlev = bytearray(n)
+            tlb_codes = np.frombuffer(self._tlev, dtype=np.uint8)
+            if kind == _MPK:
+                # The thread's PKRU register for the entry's pkey
+                # (created on first use, as the reference does).
+                for_thread = self.scheme.pkru.for_thread
+                self._tag_field = 3
+                self._probe = lambda key, tid: for_thread(tid)[key]
+            else:
+                self._tag_field = 4
+                self._probe = self.scheme._swtable_probe
 
+        # Walk segment by segment, capturing the scheme charges so far
+        # at every mark; the machine cycles come from the fold below.
+        bounds = list(marks) if marks else []
+        charged: List[float] = []
+        ci = p = 0
+        try:
+            for stop in bounds:
+                ci = walk(p, stop, ci)
+                charged.append(stats.cycles)
+                p = stop
+            walk(p, n, ci)
+        except ProtectionFault:
+            self._settle(codes, tlb_codes, self._fault_at + 1, faulted=True)
+            raise
+        self._settle(codes, tlb_codes, n, faulted=False)
+
+        def build_fold():
+            return _fold_cycles(columns.icounts, cpi, tlb_codes, tlb_pen,
+                                codes, cache_pen)
+
+        if tlb_codes is codes:
+            # Radiograph TLB levels: the fold is scheme-independent.
+            fold = cache(
+                ("fold", *geometry, cpi, tlb_cfg.l2_latency,
+                 tlb_cfg.miss_penalty, cache_cfg.l1_latency,
+                 cache_cfg.l2_latency, config.memory.dram_latency,
+                 config.memory.nvm_latency, config.processor.stall_overlap),
+                build_fold)
+        else:
+            fold = build_fold()
         if marks:
-            snapshots: List[float] = []
-            cycles = 0.0
-            ci = 0
-            previous = 0
-            for stop in marks:
-                cycles, ci = runner(previous, stop, ci, cycles)
-                snapshots.append(cycles + stats.cycles)
-                previous = stop
-            cycles, ci = runner(previous, n, ci, cycles)
-            stats.mark_cycles = snapshots
-        else:
-            cycles, ci = runner(0, n, 0, 0.0)
-
-        self._flush_totals(rad)
-        stats.cycles += cycles
+            stats.mark_cycles = [
+                machine + charges for machine, charges in zip(
+                    fold[np.minimum(bounds, n)].tolist(), charged)]
+        stats.cycles += float(fold[n])
         stats.instructions = int(columns.icounts.sum(dtype=np.int64))
         if obs.metrics_enabled():
             registry = obs.MetricsRegistry()
@@ -683,7 +663,45 @@ class FastReplayEngine(ReplayEngine):
             stats.metrics = registry.as_dict()
         return stats
 
-    # -- cold dispatch (non-memory events) ------------------------------------
+    # -- counter settlement ---------------------------------------------------
+
+    def _settle(self, codes: np.ndarray, tlb_codes: np.ndarray, end: int, *,
+                faulted: bool) -> None:
+        """Credit the event counters of events ``[0, end)``.
+
+        TLB levels come from ``tlb_codes`` (the radiograph's, or the
+        live walk's).  When the replay ``faulted`` at event ``end - 1``,
+        that access stopped at its permission check: its TLB lookup and
+        load/store/PMO counts happened, its cache access did not.
+        """
+        tally = np.bincount(codes[:end], minlength=256) @ _TALLY
+        if faulted:
+            tally[_CACHE_TALLY] -= _TALLY[codes[end - 1], _CACHE_TALLY]
+        if tlb_codes is not codes:
+            tally[_TLB_TALLY] = (np.bincount(tlb_codes[:end], minlength=256)
+                                 @ _TALLY)[_TLB_TALLY]
+        loads, stores, pmo, dv_pmo, l2h, tm, c1h, c2h, cmem = tally.tolist()
+        l1h = loads + stores - l2h - tm
+        stats = self.stats
+        stats.loads += loads
+        stats.stores += stores
+        stats.pmo_accesses += dv_pmo if self._kernel_kind == _DV else pmo
+        stats.tlb_l1_hits += l1h
+        stats.tlb_l2_hits += l2h
+        stats.tlb_misses += tm
+        tlb = self.tlb
+        tlb.l1.hits += l1h
+        tlb.l1.misses += l2h + tm
+        tlb.l2.hits += l2h
+        tlb.l2.misses += tm
+        caches = self.caches
+        caches.l1.hits += c1h
+        caches.l1.misses += c2h + cmem
+        caches.l2.hits += c2h
+        caches.l2.misses += cmem
+        caches.mem_accesses += cmem
+
+    # -- shared event paths ---------------------------------------------------
 
     def _cold_event(self, k: int, tid: int, a: int, b: int) -> None:
         """One PERM/INIT_PERM/CTXSW/ATTACH/DETACH event via the scheme."""
@@ -708,134 +726,40 @@ class FastReplayEngine(ReplayEngine):
         else:  # pragma: no cover - malformed trace
             raise SimulationError(f"unknown event kind {k}")
 
-    def _mpkv_perm_switch(self, tid: int, dom: int, perm) -> None:
-        """mpk_virt SETPERM with the DTTLB-hit path inlined.
+    def _violation(self, i: int, a: int, domain: int, tid: int,
+                   is_write: bool) -> None:
+        """Event ``i`` failed its permission check: count it, and raise
+        when protection is enforced."""
+        self.stats.protection_faults += 1
+        if self.config.enforce_protection:
+            self._fault_at = i
+            raise ProtectionFault(
+                f"illegal {'store' if is_write else 'load'} at {a:#x} "
+                f"(domain {domain}, thread {tid})",
+                vaddr=a, domain=domain, thread=tid, is_write=is_write)
 
-        Identical decisions and charges to ``MPKVirtScheme.perm_switch``;
-        every charge involved is an integer, so accumulation order cannot
-        perturb the float totals.  A DTTLB miss falls back to the real
-        method (whose own lookup then takes the one counted miss).
+    # -- stream walker (codes / dv) -------------------------------------------
+
+    def _walk_stream(self, p: int, q: int, ci: int) -> int:
+        """Replay the protection state of events [p, q) for a scheme
+        whose TLB levels the radiograph already holds.
+
+        Visits the cold events and, for dv, the radiograph's check
+        records, in index order.  A dv check is a PTLB lookup with an
+        inlined pseudo-LRU touch; a miss calls the scheme's own refill.
+        Returns the advanced cold-event cursor.
         """
-        scheme = self.scheme
-        dttlb = scheme.dttlb
-        slot = dttlb._slot_of.get(dom)
-        if slot is None:
-            scheme.perm_switch(tid, dom, perm)
-            return
-        stats = self.stats
-        wr = scheme._switch_cycles
-        stats.buckets["perm_change"] += wr
-        stats.cycles += wr
-        dttlb.hits += 1
-        plru = dttlb._plru
-        bits = plru._bits
-        ops = plru._touch_ops[slot]
-        for o in range(0, len(ops), 2):
-            bits[ops[o]] = ops[o + 1]
-        cached = dttlb._slots[slot]
-        cached.perm = perm
-        cached.dirty = True
-        cached.dtt_entry.perms[tid] = perm
-        if cached.valid:
-            kp = scheme._key_plru
-            kbits = kp._bits
-            kops = kp._touch_ops[cached.key - 1]
-            for o in range(0, len(kops), 2):
-                kbits[kops[o]] = kops[o + 1]
-            pkru = scheme.pkru
-            regs = pkru._by_tid.get(tid)
-            if regs is None:
-                regs = pkru.for_thread(tid)
-            regs[cached.key] = perm
-
-    def _lib_perm_switch(self, tid: int, dom: int, perm) -> None:
-        """libmpk SETPERM with the key-hit path inlined.
-
-        Identical decisions and charges to ``LibmpkScheme.perm_switch``
-        (int charges, so batching order is exact); an unmapped domain
-        falls back to the real method for the fault/remap machinery.
-        """
-        scheme = self.scheme
-        key_of = scheme._key_of
-        if dom not in key_of:
-            scheme.perm_switch(tid, dom, perm)
-            return
-        key_of.move_to_end(dom)
-        key = key_of[dom]
-        stats = self.stats
-        ps = self.config.libmpk.pkey_set_cycles
-        stats.buckets["perm_change"] += ps
-        stats.cycles += ps
-        scheme._perms[dom][tid] = perm
-        pkru = scheme.pkru
-        regs = pkru._by_tid.get(tid)
-        if regs is None:
-            regs = pkru.for_thread(tid)
-        regs[key] = perm
-
-    # -- codes kernel (baseline / lowerbound) ---------------------------------
-
-    def _run_codes(self, p: int, q: int, ci: int,
-                   cycles: float) -> Tuple[float, int]:
-        """Replay events [p, q) through the precomputed penalty streams."""
-        badd = self._badd
-        tadd = self._tadd
-        cpen = self._cpen
-        if p == 0 and q == len(badd):
-            seq = zip(badd, tadd, cpen)
-        else:
-            seq = zip(badd[p:q], tadd[p:q], cpen[p:q])
-        for ba, tp, cp in seq:
-            cycles += ba
-            cycles += tp
-            cycles += cp
-        cold = self._cold
-        n_cold = len(cold)
-        while ci < n_cold and cold[ci][0] < q:
-            _, k, tid, a, b = cold[ci]
-            ci += 1
-            self._cold_event(k, tid, a, b)
-        return cycles, ci
-
-    # -- dv kernel (domain_virt) ----------------------------------------------
-
-    def _run_dv(self, p: int, q: int, ci: int,
-                cycles: float) -> Tuple[float, int]:
-        """Codes kernel for cycles + a protection-only PTLB replay."""
-        badd = self._badd
-        tadd = self._tadd
-        cpen = self._cpen
-        if p == 0 and q == len(badd):
-            seq = zip(badd, tadd, cpen)
-        else:
-            seq = zip(badd[p:q], tadd[p:q], cpen[p:q])
-        for ba, tp, cp in seq:
-            cycles += ba
-            cycles += tp
-            cycles += cp
-
         stats = self.stats
         scheme = self.scheme
-        enforce = self.config.enforce_protection
-        checks = self._dv_checks
+        checks = self._checks
         cold = self._cold
         cj = self._cj
         n_chk = len(checks)
         n_cold = len(cold)
-        ptlb = scheme.ptlb
-        plru = ptlb._plru
-        pget = ptlb._slot_of.get
-        slots = ptlb._slots
-        bits = plru._bits
-        touch_ops = plru._touch_ops
-        refill = scheme._ptlb_refill
-        noted = scheme._current_tid != -1
-        acc_c = getattr(self.config,
-                        type(scheme).config_section).ptlb_access_cycles
-        lsl = -1
-        ldp = 0
+        # PTLB locals, rebound after every cold event (a CTXSW flush
+        # rebinds the slot list and PLRU bits; SETPERM rewrites entries).
+        stale = True
         n_ph = 0
-        n_acc = 0
         try:
             while True:
                 ii = checks[cj][0] if cj < n_chk else q
@@ -846,6 +770,15 @@ class FastReplayEngine(ReplayEngine):
                     _, dom, pperm, w, tid, a = checks[cj]
                     cj += 1
                     if dom:
+                        if stale:
+                            ptlb = scheme.ptlb
+                            pget = ptlb._slot_of.get
+                            slots = ptlb._slots
+                            bits = ptlb._plru._bits
+                            touch_ops = ptlb._plru._touch_ops
+                            noted = scheme._current_tid != -1
+                            lsl = -1
+                            stale = False
                         if not noted:
                             if scheme._current_tid == -1:
                                 scheme._current_tid = tid
@@ -853,7 +786,6 @@ class FastReplayEngine(ReplayEngine):
                         sl = pget(dom)
                         if sl is not None:
                             n_ph += 1
-                            n_acc += 1
                             if sl != lsl:
                                 # PseudoLRU.touch writes absolute bit
                                 # values — idempotent per slot, so
@@ -870,7 +802,7 @@ class FastReplayEngine(ReplayEngine):
                             dp = ldp
                         else:
                             ptlb.misses += 1
-                            dp = refill(dom, tid).perm
+                            dp = scheme._ptlb_refill(dom, tid).perm
                             lsl = -1
                         pm = pperm if pperm <= dp else dp
                         ok = pm == 2 if w else pm != 0
@@ -878,49 +810,42 @@ class FastReplayEngine(ReplayEngine):
                         # Recorded only when the page permission fails.
                         ok = False
                     if not ok:
-                        stats.protection_faults += 1
-                        if enforce:
-                            raise ProtectionFault(
-                                f"illegal {'store' if w else 'load'} at "
-                                f"{a:#x} (domain {dom}, thread {tid})",
-                                vaddr=a, domain=dom, thread=tid, is_write=w)
+                        self._violation(ii, a, dom, tid, w)
                 else:
                     _, k, tid, a, b = cold[ci]
                     ci += 1
                     self._cold_event(k, tid, a, b)
-                    # CTXSW flushes the PTLB (rebinding its slot list and
-                    # PLRU bits); SETPERM rewrites cached entries.
-                    slots = ptlb._slots
-                    bits = plru._bits
-                    noted = scheme._current_tid != -1
-                    lsl = -1
+                    stale = True
         finally:
             self._cj = cj
-            ptlb.hits += n_ph
-            if n_acc:
+            if n_ph:
+                scheme.ptlb.hits += n_ph
                 # n identical integer charges batch exactly.
-                total = n_acc * acc_c
+                total = n_ph * getattr(
+                    self.config, type(scheme).config_section
+                ).ptlb_access_cycles
                 stats.buckets["access_latency"] += total
                 stats.cycles += total
-        return cycles, ci
+        return ci
 
-    # -- fused kernels (live TLB) ---------------------------------------------
+    # -- live-TLB walker (mpk / swtable) --------------------------------------
 
-    def _run_mpk(self, p: int, q: int, ci: int,
-                 cycles: float) -> Tuple[float, int]:
-        """mpk / mpk_virt: live TLB, PKRU check via the entry's pkey."""
-        stats = self.stats
-        scheme = self.scheme
-        enforce = self.config.enforce_protection
-        l2_tlb_latency = self.config.tlb.l2_latency
-        tlb_miss_penalty = self.config.tlb.miss_penalty
+    def _walk_live(self, p: int, q: int, ci: int) -> int:
+        """Replay events [p, q) against the live TLB.
 
-        k_l = self._k_l
-        t_l = self._t_l
-        a_l = self._a_l
-        badd = self._badd
-        cpen = self._cpen
+        L1 hits stay inline; L2 hits and full misses are recorded in
+        the walk's TLB levels for the fold.  The permission check reads
+        the entry's tag (``_tag_field``: the pkey or the domain) through
+        ``_probe``, memoised per (tag, thread) until anything runs that
+        can rewrite scheme metadata — a cold event or a full TLB walk
+        (``fill_tags`` may remap keys or evict a domain's mapping).
+        Returns the advanced cold-event cursor.
+        """
+        k_l, t_l, _, a_l, _ = self._lists
         cold = self._cold
+        tlev = self._tlev
+        field = self._tag_field
+        probe = self._probe
 
         l1 = self.tlb.l1
         l2 = self.tlb.l2
@@ -933,34 +858,17 @@ class FastReplayEngine(ReplayEngine):
         t1 = l1._age
         t2 = l2._age
 
-        # Per-thread PKRU registers: created on first use (exactly when
-        # the reference would) and mutated in place ever after, so the
-        # per-tid cache stays valid across scheme calls.
-        by_tid_get = scheme.pkru._by_tid.get
-        for_thread = scheme.pkru.for_thread
+        ltag = -1
         ltid = -1
-        regs = None
-
-        # SETPERM dominates the cold stream; the DTTLB-hit case gets the
-        # inlined handler for mpk_virt and any subclass that inherits
-        # its perm_switch unchanged (pks_seal, poe2 — their overrides
-        # live on colder paths).  Plain MPK's perm_switch is already a
-        # two-line method — not worth bypassing.
-        fast_ps = (self._mpkv_perm_switch
-                   if isinstance(scheme, MPKVirtScheme)
-                   and type(scheme).perm_switch is MPKVirtScheme.perm_switch
-                   else None)
-
-        n_l2h = n_tm = 0
+        lperm = 0
 
         if p == 0 and q == len(k_l):
-            seq = zip(k_l, t_l, badd, a_l, cpen)
+            seq = zip(range(q), k_l, t_l, a_l)
         else:
-            seq = zip(k_l[p:q], t_l[p:q], badd[p:q], a_l[p:q], cpen[p:q])
+            seq = zip(range(p, q), k_l[p:q], t_l[p:q], a_l[p:q])
 
         try:
-            for k, tid, ba, a, cp in seq:
-                cycles += ba
+            for i, k, tid, a in seq:
                 if k <= 1 or k == 7:
                     vpn = a >> 12
                     s = g1(vpn)
@@ -977,178 +885,32 @@ class FastReplayEngine(ReplayEngine):
                             l1._age = t1
                             l1.fill_rec(rec)
                             t1 = l1._age
-                            n_l2h += 1
-                            cycles += l2_tlb_latency
+                            tlev[i] = _TLB_L2
                         else:
-                            n_tm += 1
-                            cycles += tlb_miss_penalty
+                            tlev[i] = _TLB_MISS
                             l1._age = t1
                             l2._age = t2
                             rec = self._tlb_miss(vpn, a, tid)
                             t1 = l1._age
                             t2 = l2._age
+                            ltag = -1
                     if k != 7:
                         pm = rec[2]
-                        pk = rec[3]
-                        if pk:
-                            if tid != ltid:
-                                regs = by_tid_get(tid)
-                                if regs is None:
-                                    regs = for_thread(tid)
+                        tag = rec[field]
+                        if tag:
+                            if tag != ltag or tid != ltid:
+                                lperm = probe(tag, tid)  # Perm.NONE == 0
+                                ltag = tag
                                 ltid = tid
-                            dp = regs[pk]
-                            if dp < pm:
-                                pm = dp
+                            if lperm < pm:
+                                pm = lperm
                         if not (pm == 2 if k == 1 else pm != 0):
-                            stats.protection_faults += 1
-                            if enforce:
-                                w = k == 1
-                                raise ProtectionFault(
-                                    f"illegal "
-                                    f"{'store' if w else 'load'} at {a:#x} "
-                                    f"(domain {rec[4]}, thread {tid})",
-                                    vaddr=a, domain=rec[4], thread=tid,
-                                    is_write=w)
-                    cycles += cp
+                            self._violation(i, a, rec[4], tid, k == 1)
                 else:
                     ci += 1
-                    c = cold[ci - 1]
-                    if k == 2 and fast_ps is not None:
-                        stats.perm_switches += 1
-                        fast_ps(tid, a, c[4])
-                    else:
-                        self._cold_event(k, tid, a, c[4])
+                    self._cold_event(k, tid, a, cold[ci - 1][4])
+                    ltag = -1
         finally:
-            l1.misses += n_l2h + n_tm
-            l2.hits += n_l2h
-            l2.misses += n_tm
             l1._age = t1
             l2._age = t2
-            stats.tlb_l2_hits += n_l2h
-            stats.tlb_misses += n_tm
-            self._seen_l2h += n_l2h
-            self._seen_tm += n_tm
-        return cycles, ci
-
-    def _run_swtable(self, p: int, q: int, ci: int,
-                     cycles: float) -> Tuple[float, int]:
-        """check="swtable" schemes (libmpk, dpti): live TLB, software
-        (domain, thread) permission probe."""
-        stats = self.stats
-        scheme = self.scheme
-        enforce = self.config.enforce_protection
-        l2_tlb_latency = self.config.tlb.l2_latency
-        tlb_miss_penalty = self.config.tlb.miss_penalty
-
-        k_l = self._k_l
-        t_l = self._t_l
-        a_l = self._a_l
-        badd = self._badd
-        cpen = self._cpen
-        cold = self._cold
-
-        l1 = self.tlb.l1
-        l2 = self.tlb.l2
-        g1 = l1.slot_of.get
-        g2 = l2.slot_of.get
-        recs1 = l1.recs
-        recs2 = l2.recs
-        ages1 = l1.ages
-        ages2 = l2.ages
-        t1 = l1._age
-        t2 = l2._age
-
-        # The declared software permission lookup — cold side effects
-        # (libmpk's fault/remap path) included.
-        probe = scheme._swtable_probe
-        # SETPERM dominates the cold stream; libmpk's key-hit case gets
-        # the inlined handler when perm_switch is inherited unchanged.
-        fast_ps = (self._lib_perm_switch
-                   if type(scheme).perm_switch is LibmpkScheme.perm_switch
-                   else None)
-        # (domain, tid) permission memo: valid until anything runs that
-        # can rewrite scheme metadata — a cold event (SETPERM/attach/
-        # detach rebind or mutate the tables) or a TLB walk (fill_tags
-        # can evict a domain's key mapping).
-        ldom = -1
-        lptid = -1
-        ldp = 0
-
-        n_l2h = n_tm = 0
-
-        if p == 0 and q == len(k_l):
-            seq = zip(k_l, t_l, badd, a_l, cpen)
-        else:
-            seq = zip(k_l[p:q], t_l[p:q], badd[p:q], a_l[p:q], cpen[p:q])
-
-        try:
-            for k, tid, ba, a, cp in seq:
-                cycles += ba
-                if k <= 1 or k == 7:
-                    vpn = a >> 12
-                    s = g1(vpn)
-                    if s is not None:
-                        ages1[s] = t1
-                        t1 += 1
-                        rec = recs1[s]
-                    else:
-                        s = g2(vpn)
-                        if s is not None:
-                            ages2[s] = t2
-                            t2 += 1
-                            rec = recs2[s]
-                            l1._age = t1
-                            l1.fill_rec(rec)
-                            t1 = l1._age
-                            n_l2h += 1
-                            cycles += l2_tlb_latency
-                        else:
-                            n_tm += 1
-                            cycles += tlb_miss_penalty
-                            l1._age = t1
-                            l2._age = t2
-                            rec = self._tlb_miss(vpn, a, tid)
-                            t1 = l1._age
-                            t2 = l2._age
-                            ldom = -1
-                    if k != 7:
-                        pm = rec[2]
-                        dom = rec[4]
-                        if dom:
-                            if dom != ldom or tid != lptid:
-                                ldp = probe(dom, tid)  # Perm.NONE == 0
-                                ldom = dom
-                                lptid = tid
-                            if ldp < pm:
-                                pm = ldp
-                        if not (pm == 2 if k == 1 else pm != 0):
-                            stats.protection_faults += 1
-                            if enforce:
-                                w = k == 1
-                                raise ProtectionFault(
-                                    f"illegal "
-                                    f"{'store' if w else 'load'} at {a:#x} "
-                                    f"(domain {dom}, thread {tid})",
-                                    vaddr=a, domain=dom, thread=tid,
-                                    is_write=w)
-                    cycles += cp
-                else:
-                    ci += 1
-                    c = cold[ci - 1]
-                    if k == 2 and fast_ps is not None:
-                        stats.perm_switches += 1
-                        fast_ps(tid, a, c[4])
-                    else:
-                        self._cold_event(k, tid, a, c[4])
-                    ldom = -1
-        finally:
-            l1.misses += n_l2h + n_tm
-            l2.hits += n_l2h
-            l2.misses += n_tm
-            l1._age = t1
-            l2._age = t2
-            stats.tlb_l2_hits += n_l2h
-            stats.tlb_misses += n_tm
-            self._seen_l2h += n_l2h
-            self._seen_tm += n_tm
-        return cycles, ci
+        return ci

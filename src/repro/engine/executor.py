@@ -18,10 +18,13 @@ import multiprocessing
 import os
 import pathlib
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
                     TypeVar)
 
 from .. import obs
+from ..errors import EngineError
 from ..sim.stats import RunStats
 from .job import ReplayJob
 
@@ -96,9 +99,33 @@ def _fork_available() -> bool:
         return False
 
 
+#: Per-item progress shared with forked workers (0 queued, 1 running,
+#: 2 done); installed in each worker by :func:`_init_worker`.
+_progress = None
+
+
+def _init_worker(progress) -> None:
+    global _progress
+    _progress = progress
+
+
+def _tracked_call(fn: Callable[[T], R], index: int, item: T) -> R:
+    """Run one item in a worker, recording when it starts and ends."""
+    _progress[index] = 1
+    result = fn(item)
+    _progress[index] = 2
+    return result
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
                  jobs: Optional[int] = None) -> List[R]:
-    """``map(fn, items)`` over ``jobs`` forked workers (serial if 1)."""
+    """``map(fn, items)`` over ``jobs`` forked workers (serial if 1).
+
+    An exception raised by ``fn`` propagates as itself.  A worker that
+    dies outright (SIGKILL, OOM kill, segfault) raises
+    :class:`~repro.errors.EngineError` naming the items it took down,
+    instead of leaving the map blocked forever.
+    """
     items = list(items)
     n = worker_count(jobs)
     if n <= 1 or len(items) <= 1 or not _fork_available():
@@ -109,8 +136,22 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
     if ev is not None:
         ev.flush()
     ctx = multiprocessing.get_context("fork")
-    with ctx.Pool(processes=min(n, len(items))) as pool:
-        return pool.map(fn, items)
+    progress = ctx.Array("b", len(items), lock=False)
+    pool = ProcessPoolExecutor(max_workers=min(n, len(items)),
+                               mp_context=ctx, initializer=_init_worker,
+                               initargs=(progress,))
+    try:
+        futures = [pool.submit(_tracked_call, fn, index, item)
+                   for index, item in enumerate(items)]
+        return [future.result() for future in futures]
+    except BrokenProcessPool as exc:
+        lost = [index for index, state in enumerate(progress) if state == 1]
+        raise EngineError(
+            f"a worker process died while running item(s) "
+            f"{', '.join(map(str, lost)) or '?'} of {len(items)} "
+            f"(killed or crashed, e.g. out of memory)") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _run_job(job: ReplayJob) -> RunStats:

@@ -278,6 +278,37 @@ class TestProtectionFaultParity:
         assert str(ref.value) == str(fast.value)
         for attr in ("vaddr", "domain", "thread", "is_write"):
             assert getattr(ref.value, attr) == getattr(fast.value, attr)
+        # The aborted replay's counters cover exactly the faulting
+        # prefix under both engines: RunStats and every TLB/cache level.
+        ref_engine = self._faulted_engine(monkeypatch, trace, scheme, "0")
+        fast_engine = self._faulted_engine(monkeypatch, trace, scheme, "1")
+        assert isinstance(fast_engine, FastReplayEngine)
+        assert not isinstance(ref_engine, FastReplayEngine)
+        assert dataclasses.asdict(ref_engine.stats) == \
+            dataclasses.asdict(fast_engine.stats)
+        assert self._level_counters(ref_engine) == \
+            self._level_counters(fast_engine)
+
+    @staticmethod
+    def _faulted_engine(monkeypatch, trace, scheme, fast):
+        from repro.core.schemes import scheme_by_name
+        monkeypatch.setenv("REPRO_FAST", fast)
+        context = ReplayContext.from_trace(trace)
+        engine = make_replay_engine(DEFAULT_CONFIG, context.kernel,
+                                    context.process, scheme_by_name(scheme),
+                                    attach_info=context.attach_info)
+        with pytest.raises(ProtectionFault):
+            engine.run(trace)
+        return engine
+
+    @staticmethod
+    def _level_counters(engine):
+        levels = {"tlb.l1": engine.tlb.l1, "tlb.l2": engine.tlb.l2,
+                  "cache.l1": engine.caches.l1, "cache.l2": engine.caches.l2}
+        counters = {name: (level.hits, level.misses)
+                    for name, level in levels.items()}
+        counters["mem_accesses"] = engine.caches.mem_accesses
+        return counters
 
     @pytest.mark.parametrize("scheme", ("domain_virt", "mpk_virt",
                                         "libmpk", "erim", "dpti"))

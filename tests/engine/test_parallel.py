@@ -1,9 +1,14 @@
 """Parallel-replay tests: REPRO_JOBS fan-out must not change results."""
 
+import os
+import re
+import signal
+
 import pytest
 
 from repro.engine import TraceCache, parallel_map, worker_count
 from repro.engine.executor import _fork_available
+from repro.errors import EngineError
 from repro.experiments.figure6 import FIGURE6_SCHEMES, run_figure6
 from repro.experiments.runner import ExperimentRunner
 from repro.sim.simulator import MULTI_PMO_SCHEMES
@@ -38,9 +43,44 @@ class TestParallelMap:
         assert parallel_map(_square, list(range(8)), jobs=4) == \
             [x * x for x in range(8)]
 
+    @pytest.mark.skipif(not _fork_available(), reason="requires fork")
+    def test_worker_exception_propagates(self):
+        with pytest.raises(ZeroDivisionError):
+            parallel_map(_inverse, [2, 1, 0, 4], jobs=2)
+
+    @pytest.mark.skipif(not _fork_available(), reason="requires fork")
+    def test_killed_worker_raises_instead_of_hanging(self):
+        # A SIGKILLed worker (the OOM killer's signal) must surface as an
+        # error naming the lost item, not block the map forever.
+        def timeout(signum, frame):
+            raise TimeoutError("parallel_map hung on a killed worker")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            with pytest.raises(EngineError) as error:
+                parallel_map(_killed_on_three, list(range(6)), jobs=2)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        # Items still in flight on the other worker may be named too.
+        lost = re.search(r"item\(s\) ([\d, ]+) of 6", str(error.value))
+        assert lost is not None
+        assert "3" in lost.group(1).split(", ")
+
 
 def _square(x):
     return x * x
+
+
+def _inverse(x):
+    return 1 / x
+
+
+def _killed_on_three(x):
+    if x == 3:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return x
 
 
 @pytest.mark.skipif(not _fork_available(), reason="requires fork")

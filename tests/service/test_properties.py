@@ -5,15 +5,21 @@ randomly drawn :class:`ServiceParams`.
   and shed rows;
 * every batch serves a single client on a worker slot in range;
 * at one worker, ``account`` and ``account_sharded`` over
-  ``shard_by_worker`` agree bit for bit.
+  ``shard_by_worker`` agree bit for bit;
+* the fast replay engine reproduces the reference interpreter bit for
+  bit on the served trace, marks included, for every scheme it covers.
 """
 
+import dataclasses
+import os
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.schemes import available_schemes, scheme_by_name
+from repro.cpu.fast_timing import supports_fast_replay
 from repro.engine import replay_one
 from repro.service import (CalibratedClock, ServiceParams, account,
                            account_sharded, batch_boundaries, build_plan,
@@ -102,3 +108,53 @@ def test_one_worker_sharded_accounting_is_the_classic_one(params, scheme):
         frequency_hz=FREQ)
     assert sharded.to_dict() == classic.to_dict()
     assert sharded.latency.samples == classic.latency.samples
+
+
+#: Every registered scheme the fast engine has a kernel for.
+FAST_SCHEMES = sorted(name for name in available_schemes()
+                      if supports_fast_replay(DEFAULT_CONFIG,
+                                              scheme_by_name(name)))
+
+
+def served_trace(params):
+    workload = ServiceWorkload(params)
+    workload.serve(plan_for(params))
+    return workload.finish()
+
+
+def replay_under(fast, trace, scheme, marks):
+    """Replay with ``REPRO_FAST`` set to ``fast``; a raised error is
+    returned as its type and message."""
+    saved = os.environ.get("REPRO_FAST")
+    os.environ["REPRO_FAST"] = fast
+    try:
+        return replay_one(trace, scheme, marks=marks)
+    except Exception as error:  # compared across engines below
+        return type(error), str(error)
+    finally:
+        if saved is None:
+            del os.environ["REPRO_FAST"]
+        else:
+            os.environ["REPRO_FAST"] = saved
+
+
+def assert_fast_is_reference(trace, scheme):
+    marks = batch_boundaries(trace)
+    ref = replay_under("0", trace, scheme, marks)
+    fast = replay_under("1", trace, scheme, marks)
+    if isinstance(ref, tuple):
+        assert ref == fast
+        return
+    assert repr(ref.cycles) == repr(fast.cycles)
+    assert {k: repr(v) for k, v in ref.buckets.items()} == \
+        {k: repr(v) for k, v in fast.buckets.items()}
+    assert [repr(c) for c in ref.mark_cycles or ()] == \
+        [repr(c) for c in fast.mark_cycles or ()]
+    assert dataclasses.asdict(ref) == dataclasses.asdict(fast)
+
+
+@settings(max_examples=30, deadline=None)
+@given(service_params(), st.sampled_from(FAST_SCHEMES))
+def test_fast_replay_is_the_reference_on_served_traces(params, scheme):
+    params = replace(params, n_requests=min(params.n_requests, 60))
+    assert_fast_is_reference(served_trace(params), scheme)

@@ -29,18 +29,18 @@ def _trace():
     return generate_micro_trace(params)
 
 
-def _overheads(trace, ws, config):
-    results = replay_trace(trace, ws,
+def _overheads(trace, config):
+    results = replay_trace(trace,
                            viable_schemes(MULTI_PMO_SCHEMES, N_POOLS),
                            config)
     return [overhead_over_lowerbound(results, s) for s in SCHEMES]
 
 
 def _run_ablation(variants):
-    trace, ws = _trace()
+    trace, _ = _trace()
     rows = []
     for label, config in variants:
-        rows.append([label] + _overheads(trace, ws, config))
+        rows.append([label] + _overheads(trace, config))
     return rows
 
 

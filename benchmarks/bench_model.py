@@ -19,9 +19,9 @@ def test_model_vs_simulation(benchmark, save_report):
     def run():
         rows = []
         for bench in ("avl", "bt", "ss"):
-            trace, ws = generate_micro_trace(MicroParams(
+            trace, _ = generate_micro_trace(MicroParams(
                 benchmark=bench, n_pools=256, operations=1000))
-            results = replay_trace(trace, ws,
+            results = replay_trace(trace,
                                    viable_schemes(MULTI_PMO_SCHEMES, 256))
             for scheme in SCHEMES:
                 stats = results[scheme]

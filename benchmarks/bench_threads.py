@@ -22,8 +22,8 @@ def test_thread_scaling(benchmark, save_report):
         for threads in (1, 2, 4):
             params = MicroParams(benchmark="avl", n_pools=256,
                                  operations=1200, threads=threads)
-            trace, ws = generate_micro_trace(params)
-            results = replay_trace(trace, ws,
+            trace, _ = generate_micro_trace(params)
+            results = replay_trace(trace,
                                    viable_schemes(MULTI_PMO_SCHEMES, 256))
             rows.append(
                 [f"{threads} thread(s)"]

@@ -53,7 +53,7 @@ def main() -> None:
     # -- 4. replay under every scheme --------------------------------------
     trace = ws.finish()
     results = replay_trace(
-        trace, ws, ("lowerbound", "libmpk", "mpk_virt", "domain_virt"))
+        trace, ("lowerbound", "libmpk", "mpk_virt", "domain_virt"))
     print(f"\ntrace: {len(trace)} events, "
           f"{results['baseline'].pmo_accesses} PMO accesses, "
           f"{results['lowerbound'].perm_switches} permission switches")
@@ -70,7 +70,7 @@ def main() -> None:
     ws2.recorder.store(ws2.tid, victim.va_of(oid))  # a rogue store event
     rogue_trace = ws2.finish()
     try:
-        replay_trace(rogue_trace, ws2, ("domain_virt",))
+        replay_trace(rogue_trace, ("domain_virt",))
     except ProtectionFault as fault:
         print(f"\nrogue store blocked by domain virtualization: {fault}")
 

@@ -59,7 +59,7 @@ def main() -> None:
     workload.overread(victim=1)
     trace = workload.finish()
     try:
-        replay_trace(trace, workload.ws, ("domain_virt",))
+        replay_trace(trace, ("domain_virt",))
         raise AssertionError("the over-read should have faulted!")
     except ProtectionFault as fault:
         print(f"over-read into client 1's PMO blocked: "
@@ -74,7 +74,7 @@ def main() -> None:
     honest = engine.trace_for(spec)
     marks = batch_boundaries(honest)
     schemes = ("lowerbound", "mpk_virt", "domain_virt")
-    cell = engine.replay_marked(spec, schemes, marks)
+    cell = engine.replay(spec, schemes, marks=marks)
     frequency = engine.config.processor.frequency_hz
     print(f"\n{plan.n_served} requests served across {N_CLIENTS} isolated "
           f"clients ({plan.coalesced} coalesced into shared windows, "

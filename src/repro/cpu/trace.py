@@ -262,7 +262,7 @@ class Trace:
         self.total_instructions = total_instructions
         self.label = label
         #: Process image for isolated replay; ``None`` for hand-built
-        #: traces (those replay against a live workspace instead).
+        #: traces, which the replay engine refuses.
         self.layout = layout
 
     @property

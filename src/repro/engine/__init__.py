@@ -10,16 +10,18 @@ Layering (bottom up):
 * :mod:`repro.engine.context` — :class:`ReplayContext`, isolated replay
   state rebuilt from a trace's recorded layout;
 * :mod:`repro.engine.executor` — ``REPRO_JOBS``-wide fan-out of replay
-  jobs over ``multiprocessing`` workers;
+  jobs over ``multiprocessing`` workers, and :func:`replay_cells`, the
+  grid every scheme replay runs through;
 * :mod:`repro.engine.core` — :class:`Engine`, the facade the experiment
   drivers run on.
 """
 
 from .cache import (DEFAULT_CACHE_DIR, ENV_CACHE, CacheStats, TraceCache,
                     trace_cache_root)
-from .context import ReplayContext, replay_items, replay_one
+from .context import ReplayContext, replay_one
 from .core import Engine
-from .executor import ENV_JOBS, parallel_map, replay_jobs, worker_count
+from .executor import (ENV_JOBS, parallel_map, replay_cells, replay_jobs,
+                       worker_count)
 from .job import ReplayJob, WorkloadSpec
 
 __all__ = [
@@ -33,7 +35,7 @@ __all__ = [
     "TraceCache",
     "WorkloadSpec",
     "parallel_map",
-    "replay_items",
+    "replay_cells",
     "replay_jobs",
     "replay_one",
     "trace_cache_root",

@@ -22,7 +22,7 @@ This isolation is what makes scheme replays safe to fan out over
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.schemes import scheme_by_name
 from ..cpu.fast_timing import make_replay_engine
@@ -54,8 +54,7 @@ class ReplayContext:
         layout = trace.layout
         if layout is None:
             raise EngineError(
-                "trace has no layout; regenerate it (format v2) or replay "
-                "it against its generating workspace")
+                "trace has no layout; regenerate it (format v2)")
         kernel = Kernel()
         process = kernel.create_process()
         while len(process.threads) < layout.n_threads:
@@ -132,18 +131,3 @@ def replay_one(trace: Trace, scheme: str,
     return ReplayContext.from_trace(trace).replay(trace, scheme, config,
                                                   marks=marks,
                                                   n_cores=n_cores)
-
-
-def _replay_item(item: Tuple[Trace, str, Optional[SimConfig]]) -> RunStats:
-    trace, scheme, config = item
-    return replay_one(trace, scheme, config)
-
-
-def replay_items(trace: Trace, schemes: Sequence[str],
-                 config: Optional[SimConfig] = None, *,
-                 jobs: Optional[int] = None) -> List[RunStats]:
-    """Replay several schemes of one trace, fanning out over workers."""
-    from .executor import parallel_map
-    return parallel_map(_replay_item,
-                        [(trace, scheme, config) for scheme in schemes],
-                        jobs=jobs)

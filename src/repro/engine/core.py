@@ -9,9 +9,11 @@ the three layers together:
 
 A driver describes what it wants as :class:`WorkloadSpec`s and scheme
 names; the engine warms the trace cache (generating only what no cache
-layer has), fans the resulting :class:`ReplayJob` grid over workers, and
-regroups the :class:`RunStats` per spec with ``baseline_cycles`` wired
-up — exactly the shape :func:`repro.sim.simulator.replay_trace` returns.
+layer has) and hands the resulting cells of :class:`ReplayJob`s to
+:func:`~repro.engine.executor.replay_cells`, which fans them over
+workers and regroups the :class:`RunStats` per cell with
+``baseline_cycles`` wired up — the same path
+:func:`repro.sim.simulator.replay_trace` takes.
 
 The engine also hosts a small result-memoization table
 (:meth:`memoize`) so expensive derived results (the Figure 6 sweep) can
@@ -28,11 +30,8 @@ from ..cpu.trace import Trace
 from ..sim.config import DEFAULT_CONFIG, SimConfig
 from ..sim.stats import RunStats
 from .cache import CacheStats, TraceCache
-from .executor import (TraceJob, parallel_map, replay_jobs,
-                       replay_trace_jobs, worker_count)
-from .job import ReplayJob, WorkloadSpec
-
-BASELINE = "baseline"
+from .executor import parallel_map, replay_cells, worker_count
+from .job import BASELINE, WorkloadSpec, scheme_cell
 
 
 def _warm_spec(item: Tuple[WorkloadSpec, Optional[str]]):
@@ -138,79 +137,37 @@ class Engine:
     # -- replay --------------------------------------------------------------------
 
     def replay_grid(self, cells: Sequence[Tuple[WorkloadSpec, SimConfig]],
-                    schemes: Iterable[str], *,
-                    include_baseline: bool = True
-                    ) -> List[Dict[str, RunStats]]:
+                    schemes: Iterable[str]) -> List[Dict[str, RunStats]]:
         """Replay every (spec, config) cell under the baseline + schemes.
 
         Returns one ``scheme -> RunStats`` dict per cell, in order; the
         whole (cell x scheme) job grid fans out over the executor.
         """
-        names = [name for name in dict.fromkeys(schemes) if name != BASELINE]
         self.warm([spec for spec, _ in cells])
         root = self._root_token()
-        grid = [ReplayJob(spec=spec, scheme=name, config=config,
-                          cache_root=root)
-                for spec, config in cells
-                for name in (BASELINE, *names)]
-        ev = obs.active_events()
-        if ev is not None:
-            for job in grid:
-                ev.emit("job.submit", label=job.spec.label, scheme=job.scheme)
-        stats = replay_jobs(grid, jobs=self.jobs)
-        stride = 1 + len(names)
-        results: List[Dict[str, RunStats]] = []
-        for i in range(len(cells)):
-            chunk = stats[i * stride:(i + 1) * stride]
-            baseline = chunk[0]
-            cell: Dict[str, RunStats] = {}
-            if include_baseline:
-                cell[BASELINE] = baseline
-            for name, stat in zip(names, chunk[1:]):
-                stat.baseline_cycles = baseline.cycles
-                cell[name] = stat
-            results.append(cell)
-        return results
+        return replay_cells([scheme_cell((BASELINE, *schemes), spec=spec,
+                                         config=config, cache_root=root)
+                             for spec, config in cells], jobs=self.jobs)
 
     def replay(self, spec: WorkloadSpec, schemes: Iterable[str],
                config: Optional[SimConfig] = None, *,
+               marks: Optional[Sequence[int]] = None,
                include_baseline: bool = True) -> Dict[str, RunStats]:
-        """Replay one spec under the baseline plus each named scheme."""
-        return self.replay_grid([(spec, config or self.config)], schemes,
-                                include_baseline=include_baseline)[0]
+        """Replay one spec under the baseline plus each named scheme.
 
-    def replay_marked(self, spec: WorkloadSpec, schemes: Iterable[str],
-                      marks: Sequence[int],
-                      config: Optional[SimConfig] = None, *,
-                      include_baseline: bool = True) -> Dict[str, RunStats]:
-        """Replay one spec with elapsed-cycle snapshots at ``marks``.
-
-        Same contract as :meth:`replay`, but every returned
-        :class:`RunStats` additionally carries ``mark_cycles`` — the
-        cycle clock at each marked event index.  The service layer uses
-        this to turn one replay into per-batch completion times.
+        With ``marks`` every returned :class:`RunStats` additionally
+        carries ``mark_cycles`` — the cycle clock at each marked event
+        index; the service layer turns one marked replay into per-batch
+        completion times.  ``include_baseline=False`` runs no baseline
+        job, so no result has ``baseline_cycles``.
         """
-        config = config or self.config
-        names = [name for name in dict.fromkeys(schemes) if name != BASELINE]
         self.warm([spec])
-        root = self._root_token()
-        marks = tuple(int(mark) for mark in marks)
-        grid = [ReplayJob(spec=spec, scheme=name, config=config,
-                          cache_root=root, marks=marks)
-                for name in (BASELINE, *names)]
-        ev = obs.active_events()
-        if ev is not None:
-            for job in grid:
-                ev.emit("job.submit", label=job.spec.label, scheme=job.scheme)
-        stats = replay_jobs(grid, jobs=self.jobs)
-        baseline = stats[0]
-        cell: Dict[str, RunStats] = {}
-        if include_baseline:
-            cell[BASELINE] = baseline
-        for name, stat in zip(names, stats[1:]):
-            stat.baseline_cycles = baseline.cycles
-            cell[name] = stat
-        return cell
+        if marks is not None:
+            marks = tuple(int(mark) for mark in marks)
+        names = (BASELINE, *schemes) if include_baseline else tuple(schemes)
+        return replay_cells([scheme_cell(
+            names, spec=spec, config=config or self.config,
+            cache_root=self._root_token(), marks=marks)], jobs=self.jobs)[0]
 
     def replay_shards(self, shards: Sequence, schemes: Iterable[str],
                       config: Optional[SimConfig] = None, *,
@@ -219,40 +176,28 @@ class Engine:
         """Replay per-worker trace shards — one simulated core each.
 
         ``shards`` is the slot-ordered output of
-        :func:`repro.service.shard.shard_by_worker`; every scheme (plus
-        the baseline) replays every shard with that shard's own marks,
-        and the whole (scheme x shard) grid fans out over the fork
-        executor — a 64-worker service run is a 64-way parallel replay.
-        Returns ``scheme -> [RunStats per slot, slot order]`` with each
-        shard's ``baseline_cycles`` wired from the same slot's baseline
-        replay.  Schemes see ``n_cores = len(shards)``, which is what
-        turns MPKV/libmpk key-remap invalidations into attributed
-        cross-core shootdown broadcasts (``docs/MULTICORE.md``).
+        :func:`repro.service.shard.shard_by_worker`.  Each shard is one
+        cell: every scheme (plus the baseline) replays it with that
+        shard's own marks, and the whole (shard x scheme) grid fans out
+        over the fork executor — a 64-worker service run is a 64-way
+        parallel replay.  Returns ``scheme -> [RunStats per slot, slot
+        order]`` with each shard's ``baseline_cycles`` wired from the
+        same slot's baseline replay.  Schemes see
+        ``n_cores = len(shards)``, which is what turns MPKV/libmpk
+        key-remap invalidations into attributed cross-core shootdown
+        broadcasts (``docs/MULTICORE.md``).
         """
         config = config or self.config
         shards = list(shards)
-        names = [name for name in dict.fromkeys(schemes) if name != BASELINE]
-        n_cores = len(shards)
-        grid = [TraceJob(trace=shard.trace, scheme=name, config=config,
-                         marks=tuple(int(m) for m in shard.marks),
-                         n_cores=n_cores, label=shard.trace.label)
-                for name in (BASELINE, *names)
+        names = (BASELINE, *schemes) if include_baseline else tuple(schemes)
+        grid = [scheme_cell(names, spec=None, trace=shard.trace,
+                            config=config,
+                            marks=tuple(int(m) for m in shard.marks),
+                            n_cores=len(shards))
                 for shard in shards]
-        ev = obs.active_events()
-        if ev is not None:
-            for job in grid:
-                ev.emit("job.submit", label=job.label, scheme=job.scheme)
-        stats = replay_trace_jobs(grid, jobs=self.jobs)
-        per_scheme: Dict[str, List[RunStats]] = {}
-        for i, name in enumerate((BASELINE, *names)):
-            per_scheme[name] = stats[i * n_cores:(i + 1) * n_cores]
-        baseline = per_scheme[BASELINE]
-        for name in names:
-            for stat, base in zip(per_scheme[name], baseline):
-                stat.baseline_cycles = base.cycles
-        if not include_baseline:
-            per_scheme.pop(BASELINE)
-        return per_scheme
+        cells = replay_cells(grid, jobs=self.jobs)
+        return {job.scheme: [cell[job.scheme] for cell in cells]
+                for job in grid[0]}
 
     def replay_marked_keyed(self, spec: WorkloadSpec,
                             schemes: Iterable[str],
@@ -263,69 +208,24 @@ class Engine:
 
         ``dispatch="replay"`` service runs schedule per scheme, so each
         scheme replays its own ``spec.keyed(scheme)`` trace with marks
-        derived from *that* trace's batch boundaries.  With
-        ``include_baseline`` every variant is additionally replayed
-        under the baseline scheme (on the variant's own schedule) to
-        wire up ``baseline_cycles``; unlike :meth:`replay_marked` there
-        is no shared ``"baseline"`` entry in the result — each scheme's
-        baseline belongs to its own schedule.
+        derived from *that* trace's batch boundaries.  Each variant is
+        one cell: with ``include_baseline`` it is also replayed under
+        the baseline scheme (on the variant's own schedule) to wire up
+        ``baseline_cycles``.  Unlike :meth:`replay` there is no shared
+        ``"baseline"`` entry in the result — each scheme's baseline
+        belongs to its own schedule.
         """
-        config = config or self.config
-        names = list(dict.fromkeys(schemes))
-        variants = {name: spec.keyed(name) for name in names}
-        self.warm(list(variants.values()))
         from ..service.server import batch_boundaries
-        root = self._root_token()
-        grid: List[ReplayJob] = []
-        spans: List[Tuple[str, int]] = []  # (name, jobs in its span)
-        for name in names:
-            vspec = variants[name]
-            marks = tuple(batch_boundaries(self.trace_for(vspec)))
-            pair = (BASELINE, name) if include_baseline and \
-                name != BASELINE else (name,)
-            for scheme in pair:
-                grid.append(ReplayJob(spec=vspec, scheme=scheme,
-                                      config=config, cache_root=root,
-                                      marks=marks))
-            spans.append((name, len(pair)))
-        ev = obs.active_events()
-        if ev is not None:
-            for job in grid:
-                ev.emit("job.submit", label=job.spec.label, scheme=job.scheme)
-        stats = replay_jobs(grid, jobs=self.jobs)
-        cell: Dict[str, RunStats] = {}
-        position = 0
-        for name, width in spans:
-            chunk = stats[position:position + width]
-            position += width
-            result = chunk[-1]
-            if width == 2 or name == BASELINE:
-                result.baseline_cycles = chunk[0].cycles
-            cell[name] = result
-        return cell
-
-    def replay_many(self, specs: Sequence[WorkloadSpec],
-                    schemes: Iterable[str], *,
-                    config: Optional[SimConfig] = None,
-                    include_baseline: bool = True,
-                    release: bool = False) -> List[Dict[str, RunStats]]:
-        """Replay several specs under one config (one result per spec)."""
         config = config or self.config
-        results = self.replay_grid([(spec, config) for spec in specs],
-                                   schemes, include_baseline=include_baseline)
-        if release:
-            for spec in specs:
-                self.release(spec)
-        return results
-
-    def replay_configs(self, spec: WorkloadSpec,
-                       configs: Sequence[SimConfig],
-                       schemes: Iterable[str], *,
-                       include_baseline: bool = True
-                       ) -> List[Dict[str, RunStats]]:
-        """Replay one spec under several configs (sensitivity sweeps)."""
-        return self.replay_grid([(spec, config) for config in configs],
-                                schemes, include_baseline=include_baseline)
+        variants = {name: spec.keyed(name) for name in dict.fromkeys(schemes)}
+        self.warm(list(variants.values()))
+        root = self._root_token()
+        cells = replay_cells([scheme_cell(
+            (BASELINE, name) if include_baseline else (name,),
+            spec=vspec, config=config, cache_root=root,
+            marks=tuple(batch_boundaries(self.trace_for(vspec))))
+            for name, vspec in variants.items()], jobs=self.jobs)
+        return {name: cell[name] for name, cell in zip(variants, cells)}
 
     # -- derived-result memoization ---------------------------------------------------
 

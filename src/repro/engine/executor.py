@@ -9,6 +9,10 @@ Worker count comes from ``REPRO_JOBS`` (default 1 = serial).  Workers
 are started with the ``fork`` method so they inherit the parent's warm
 in-memory trace cache; platforms without ``fork`` fall back to serial
 execution rather than re-shipping traces.
+
+Every scheme replay runs through one path: :func:`replay_cells` (the
+grid) hands its jobs to :func:`replay_jobs` (the batch runner), which
+maps :func:`_run_job` (the worker entry) over the pool.
 """
 
 from __future__ import annotations
@@ -20,13 +24,12 @@ import pathlib
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import (Callable, List, NamedTuple, Optional, Sequence, Tuple,
-                    TypeVar)
+from typing import Callable, Dict, List, Optional, Sequence, TypeVar
 
 from .. import obs
 from ..errors import EngineError
 from ..sim.stats import RunStats
-from .job import ReplayJob
+from .job import BASELINE, ReplayJob
 
 ENV_JOBS = "REPRO_JOBS"
 ENV_PROFILE = "REPRO_PROFILE"
@@ -68,30 +71,6 @@ def profile_dir(override: Optional[str] = None) -> Optional[pathlib.Path]:
     return pathlib.Path(raw)
 
 
-def _replay_job(trace, job: ReplayJob) -> RunStats:
-    """Replay one job, honoring the ``REPRO_PROFILE`` knob."""
-    from .context import replay_one
-    prof_dir = profile_dir()
-    if prof_dir is None:
-        return replay_one(trace, job.scheme, job.config, marks=job.marks)
-    import cProfile
-    profile = cProfile.Profile()
-    profile.enable()
-    try:
-        stats = replay_one(trace, job.scheme, job.config, marks=job.marks)
-    finally:
-        profile.disable()
-        prof_dir.mkdir(parents=True, exist_ok=True)
-        path = prof_dir / (f"{job.spec.label}-{job.scheme}-"
-                           f"{os.getpid()}-{next(_PROFILE_SEQ)}.pstats")
-        profile.dump_stats(path)
-        ev = obs.active_events()
-        if ev is not None:
-            ev.emit("job.profile", label=job.spec.label, scheme=job.scheme,
-                    path=str(path))
-    return stats
-
-
 def _fork_available() -> bool:
     try:
         return "fork" in multiprocessing.get_all_start_methods()
@@ -117,6 +96,14 @@ def _tracked_call(fn: Callable[[T], R], index: int, item: T) -> R:
     return result
 
 
+def pool_size(n_items: int, jobs: Optional[int] = None) -> int:
+    """Workers :func:`parallel_map` runs ``n_items`` items on (1 = serial)."""
+    n = worker_count(jobs)
+    if n <= 1 or n_items <= 1 or not _fork_available():
+        return 1
+    return min(n, n_items)
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
                  jobs: Optional[int] = None) -> List[R]:
     """``map(fn, items)`` over ``jobs`` forked workers (serial if 1).
@@ -127,8 +114,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
     instead of leaving the map blocked forever.
     """
     items = list(items)
-    n = worker_count(jobs)
-    if n <= 1 or len(items) <= 1 or not _fork_available():
+    n = pool_size(len(items), jobs)
+    if n == 1:
         return [fn(item) for item in items]
     # Flush buffered telemetry before forking: children inherit the
     # parent's event buffer and would re-write its pending records.
@@ -137,8 +124,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
         ev.flush()
     ctx = multiprocessing.get_context("fork")
     progress = ctx.Array("b", len(items), lock=False)
-    pool = ProcessPoolExecutor(max_workers=min(n, len(items)),
-                               mp_context=ctx, initializer=_init_worker,
+    pool = ProcessPoolExecutor(max_workers=n, mp_context=ctx,
+                               initializer=_init_worker,
                                initargs=(progress,))
     try:
         futures = [pool.submit(_tracked_call, fn, index, item)
@@ -155,38 +142,62 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
 
 
 def _run_job(job: ReplayJob) -> RunStats:
-    """Execute one replay job (used as the worker entry point).
+    """Execute one replay job: the worker entry point of every fan-out.
 
-    With observability on, the job's wall/CPU time and trace-cache
-    activity are folded into the returned ``RunStats.metrics`` so the
-    parent can merge them across workers (fork ships nothing back but
-    the pickled result).
+    A spec job loads its trace through the trace cache; a trace job
+    replays the trace it carries.  With ``REPRO_PROFILE`` set the
+    replay runs under cProfile (one ``.pstats`` per job).  With
+    observability on, the job's wall/CPU time and trace-cache activity
+    are folded into the returned ``RunStats.metrics`` so the parent can
+    merge them across workers (fork ships nothing back but the pickled
+    result).
     """
     from .cache import TraceCache
-    cache = TraceCache(job.cache_root)
-    if not obs.enabled():
-        trace = cache.get_or_generate(job.spec)
-        return _replay_job(trace, job)
-    label = job.spec.label
+    from .context import replay_one
     ev = obs.active_events()
     if ev is not None:
-        ev.emit("job.replay", label=label, scheme=job.scheme)
+        ev.emit("job.replay", label=job.label, scheme=job.scheme)
     wall0 = time.perf_counter()
     cpu0 = time.process_time()
-    trace = cache.get_or_generate(job.spec)
-    stats = _replay_job(trace, job)
+    cache = TraceCache(job.cache_root) if job.trace is None else None
+    trace = job.trace if cache is None else cache.get_or_generate(job.spec)
+    profile = None
+    prof_dir = profile_dir()
+    if prof_dir is not None:
+        import cProfile
+        profile = cProfile.Profile()
+        profile.enable()
+    try:
+        stats = replay_one(trace, job.scheme, job.config, marks=job.marks,
+                           n_cores=job.n_cores)
+    finally:
+        if profile is not None:
+            profile.disable()
+            prof_dir.mkdir(parents=True, exist_ok=True)
+            # Shard labels read "<label>/shard<k>"; keep the dump in
+            # the profile directory itself.
+            path = prof_dir / (f"{job.label.replace('/', '-')}-"
+                               f"{job.scheme}-{os.getpid()}-"
+                               f"{next(_PROFILE_SEQ)}.pstats")
+            profile.dump_stats(path)
+            if ev is not None:
+                ev.emit("job.profile", label=job.label, scheme=job.scheme,
+                        path=str(path))
+    if not obs.enabled():
+        return stats
     wall = time.perf_counter() - wall0
     cpu = time.process_time() - cpu0
     registry = obs.MetricsRegistry()
     if stats.metrics:
         registry.merge(stats.metrics)
-    cache.stats.report_metrics(registry)
+    if cache is not None:
+        cache.stats.report_metrics(registry)
     registry.counter("engine.jobs.completed").inc()
     registry.histogram("engine.job.wall_s").observe(wall)
     registry.histogram("engine.job.cpu_s").observe(cpu)
     stats.metrics = registry.as_dict()
     if ev is not None:
-        ev.emit("job.done", label=label, scheme=job.scheme,
+        ev.emit("job.done", label=job.label, scheme=job.scheme,
                 wall_s=round(wall, 6), cpu_s=round(cpu, 6))
         ev.flush()
     return stats
@@ -215,95 +226,47 @@ def _merge_batch_metrics(results: Sequence[RunStats], elapsed: float,
         ev.flush()
 
 
-class TraceJob(NamedTuple):
-    """One shard replay shipped directly as a trace (no cache lookup).
-
-    Unlike :class:`~repro.engine.job.ReplayJob` — which names a cached
-    spec the worker re-loads — a trace job carries its (sub-)trace in
-    the item itself.  Trace shards are slices of an already-generated
-    service trace; they have no cache identity of their own, so the
-    parent ships them over the fork boundary (``TraceColumns`` pickles
-    as its five raw arrays).
-    """
-
-    trace: object
-    scheme: str
-    config: object
-    marks: Tuple[int, ...]
-    #: Cores of the surrounding simulated machine (the shard count);
-    #: schemes attribute cross-core shootdown slices when > 1.
-    n_cores: int
-    label: str
-
-
-def _run_trace_job(job: TraceJob) -> RunStats:
-    """Execute one shard replay (worker entry point).
-
-    Same obs wrapping as :func:`_run_job` — wall/CPU time and the
-    completion counter fold into ``RunStats.metrics`` so the parent's
-    :func:`_merge_batch_metrics` treats shard replays and cached-spec
-    replays identically.
-    """
-    from .context import replay_one
-    if not obs.enabled():
-        return replay_one(job.trace, job.scheme, job.config,
-                          marks=job.marks, n_cores=job.n_cores)
-    ev = obs.active_events()
-    if ev is not None:
-        ev.emit("job.replay", label=job.label, scheme=job.scheme)
-    wall0 = time.perf_counter()
-    cpu0 = time.process_time()
-    stats = replay_one(job.trace, job.scheme, job.config,
-                       marks=job.marks, n_cores=job.n_cores)
-    wall = time.perf_counter() - wall0
-    cpu = time.process_time() - cpu0
-    registry = obs.MetricsRegistry()
-    if stats.metrics:
-        registry.merge(stats.metrics)
-    registry.counter("engine.jobs.completed").inc()
-    registry.histogram("engine.job.wall_s").observe(wall)
-    registry.histogram("engine.job.cpu_s").observe(cpu)
-    stats.metrics = registry.as_dict()
-    if ev is not None:
-        ev.emit("job.done", label=job.label, scheme=job.scheme,
-                wall_s=round(wall, 6), cpu_s=round(cpu, 6))
-        ev.flush()
-    return stats
-
-
-def replay_trace_jobs(items: Sequence[TraceJob], *,
-                      jobs: Optional[int] = None) -> List[RunStats]:
-    """Run a batch of shard replays, fanning out over workers.
-
-    Results come back in item order; per-job obs metrics merge into the
-    parent registry through the same batch-merge path as
-    :func:`replay_jobs`.
-    """
-    items = list(items)
-    if not obs.enabled():
-        return parallel_map(_run_trace_job, items, jobs=jobs)
-    wall0 = time.perf_counter()
-    results = parallel_map(_run_trace_job, items, jobs=jobs)
-    _merge_batch_metrics(results, time.perf_counter() - wall0,
-                         worker_count(jobs))
-    return results
-
-
 def replay_jobs(jobs_list: Sequence[ReplayJob], *,
                 jobs: Optional[int] = None) -> List[RunStats]:
     """Run a batch of replay jobs, fanning out over workers.
 
-    Results come back in job order.  Jobs should reference traces the
-    parent has already warmed (via :meth:`repro.engine.core.Engine.warm`)
-    so workers only replay; a cold job still works — the worker
-    generates the trace itself — it just duplicates generation effort
-    when several cold jobs share a spec.
+    Results come back in job order.  Spec jobs should reference traces
+    the parent has already warmed (via
+    :meth:`repro.engine.core.Engine.warm`) so workers only replay; a
+    cold job still works — the worker generates the trace itself — it
+    just duplicates generation effort when several cold jobs share a
+    spec.
     """
     jobs_list = list(jobs_list)
-    if not obs.enabled():
-        return parallel_map(_run_job, jobs_list, jobs=jobs)
     wall0 = time.perf_counter()
     results = parallel_map(_run_job, jobs_list, jobs=jobs)
-    _merge_batch_metrics(results, time.perf_counter() - wall0,
-                         worker_count(jobs))
+    if obs.enabled():
+        _merge_batch_metrics(results, time.perf_counter() - wall0,
+                             pool_size(len(jobs_list), jobs))
+    return results
+
+
+def replay_cells(cells: Sequence[Sequence[ReplayJob]], *,
+                 jobs: Optional[int] = None) -> List[Dict[str, RunStats]]:
+    """Replay cells of jobs as one batch; one ``scheme -> RunStats``
+    dict per cell, in cell order.
+
+    Every scheme replay of the package runs through here.  In a cell
+    holding a baseline job, every other job's ``baseline_cycles`` is
+    that baseline replay's cycle count; the baseline's own stays unset.
+    """
+    batch = [job for cell in cells for job in cell]
+    ev = obs.active_events()
+    if ev is not None:
+        for job in batch:
+            ev.emit("job.submit", label=job.label, scheme=job.scheme)
+    stats = iter(replay_jobs(batch, jobs=jobs))
+    results: List[Dict[str, RunStats]] = []
+    for cell in cells:
+        out = {job.scheme: next(stats) for job in cell}
+        base = out.get(BASELINE)
+        for name, stat in out.items():
+            if base is not None and name != BASELINE:
+                stat.baseline_cycles = base.cycles
+        results.append(out)
     return results

@@ -1,14 +1,14 @@
 """The declarative job model: what to generate and what to replay.
 
 A :class:`WorkloadSpec` names one traceable execution (suite + fully
-resolved parameters); a :class:`ReplayJob` is one replay of that
-execution under one protection scheme and one :class:`SimConfig`.  Both
-are pure picklable data with stable content hashes, so they can be
-
-* used as keys of the persistent trace cache (the spec hash covers every
-  parameter plus the trace-format version — any change regenerates),
-* shipped to ``multiprocessing`` workers by the parallel executor, and
-* deduplicated/memoized by result consumers.
+resolved parameters); a :class:`ReplayJob` is one replay of a trace
+under one protection scheme and one :class:`SimConfig`.  Both are pure
+picklable data, shipped to ``multiprocessing`` workers by the parallel
+executor.  A spec's stable content hash keys the persistent trace cache
+(it covers every parameter plus the trace-format version — any change
+regenerates).  A job names its trace by spec or, when the trace has no
+cache identity (a per-worker shard, a trace a caller recorded itself),
+carries the trace itself.
 """
 
 from __future__ import annotations
@@ -16,13 +16,16 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-from typing import Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from ..cpu.trace import Trace
 from ..errors import EngineError
 from ..sim.config import DEFAULT_CONFIG, SimConfig
 from ..workloads.base import Workspace
 from ..workloads.families import workload_by_name, workload_names
+
+#: The unprotected replay every scheme's overhead is measured against.
+BASELINE = "baseline"
 
 
 def suite_names() -> Tuple[str, ...]:
@@ -163,13 +166,16 @@ class WorkloadSpec:
 
 @dataclasses.dataclass(frozen=True)
 class ReplayJob:
-    """One scheme replay of one spec — pure data, safe to pickle.
+    """One scheme replay of one trace — pure data, safe to pickle.
 
-    ``cache_root`` is placement, not content (same job, different cache
-    directory), so it is excluded from :meth:`content_hash`.
+    The trace is named by ``spec`` and loaded through the trace cache,
+    or carried as ``trace`` when it has no cache identity (a shard of
+    a service trace, a trace recorded by the caller).  ``cache_root``
+    is placement, not content (same job, different cache directory), so
+    it is excluded from :meth:`content_hash`.
     """
 
-    spec: WorkloadSpec
+    spec: Optional[WorkloadSpec]
     scheme: str
     config: SimConfig = DEFAULT_CONFIG
     #: Trace-cache root for the executing worker; ``None`` = environment
@@ -180,9 +186,19 @@ class ReplayJob:
     #: (``RunStats.mark_cycles``); the service layer derives per-batch
     #: completion times from these.  ``None`` = plain unmarked replay.
     marks: Optional[Tuple[int, ...]] = None
+    #: The trace itself, for jobs without a ``spec``.
+    trace: Optional[Trace] = None
+    #: Cores of the surrounding simulated machine (a sharded replay's
+    #: shard count); schemes attribute cross-core shootdowns when > 1.
+    n_cores: int = 1
+
+    @property
+    def label(self) -> str:
+        return self.spec.label if self.trace is None else self.trace.label
 
     def content_hash(self) -> str:
-        """Stable identity over spec + scheme + full configuration."""
+        """Stable identity over spec + scheme + full configuration
+        (spec jobs only)."""
         document = {"spec": self.spec.describe(),
                     "scheme": self.scheme,
                     "config": dataclasses.asdict(self.config)}
@@ -191,3 +207,9 @@ class ReplayJob:
             # unchanged from before marks existed.
             document["marks"] = list(self.marks)
         return _digest(document)
+
+
+def scheme_cell(schemes: Iterable[str], **fields) -> List[ReplayJob]:
+    """One job per scheme (duplicates collapse), all sharing ``fields``."""
+    return [ReplayJob(scheme=name, **fields)
+            for name in dict.fromkeys(schemes)]

@@ -88,9 +88,9 @@ def _accounted(engine, spec, plan, trace, canonical, config, frequency, *,
         return {name: account_sharded(plan, shards, cell[name],
                                       frequency_hz=frequency)
                 for name in canonical}
-    marks = batch_boundaries(trace)
-    cell = engine.replay_marked(spec, canonical, marks, config,
-                                include_baseline=include_baseline)
+    cell = engine.replay(spec, canonical, config,
+                         marks=batch_boundaries(trace),
+                         include_baseline=include_baseline)
     return {name: account(plan, trace, cell[name], frequency_hz=frequency)
             for name in canonical}
 

@@ -72,8 +72,7 @@ def _viable_schemes(schemes: Sequence[str], cell: ScenarioCell
 
 def replay_compiled(compiled: CompiledScenario,
                     engine: Optional[Engine] = None, *,
-                    release: bool = True,
-                    include_baseline: bool = True) -> List[Outcome]:
+                    release: bool = True) -> List[Outcome]:
     """Replay a compiled grid; returns one (cell, results) per cell.
 
     Results are keyed by *canonical* scheme names (aliases resolved).
@@ -95,8 +94,7 @@ def replay_compiled(compiled: CompiledScenario,
         by_cell: Dict[int, Outcome] = {}
         for viable, cells in batches.items():
             results = engine.replay_grid(
-                [(cell.spec, cell.config) for cell in cells], list(viable),
-                include_baseline=include_baseline)
+                [(cell.spec, cell.config) for cell in cells], list(viable))
             for cell, cell_results in zip(cells, results):
                 by_cell[id(cell)] = (cell, cell_results)
         outcomes.extend(by_cell[id(cell)] for cell in chunk)

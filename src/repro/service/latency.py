@@ -1,6 +1,6 @@
 """Per-request latency accounting from marked replays.
 
-One marked replay (``Engine.replay_marked`` with
+One marked replay (``Engine.replay`` with ``marks`` from
 :func:`~repro.service.server.batch_boundaries`) yields the elapsed-cycle
 clock at every batch completion under one scheme.  This module re-times
 that replay onto the arrival wall clock and distributes batch

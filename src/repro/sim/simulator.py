@@ -6,24 +6,21 @@ evaluated scheme.  :func:`replay_trace` mirrors that: the baseline
 (unprotected) replay establishes the denominator, then each scheme replays
 the *same* trace and records its overhead buckets.
 
-Traces that carry a recorded layout (every trace produced by
-``Workspace.finish`` since format v2) replay in **isolated contexts**:
-each scheme gets a private kernel/process/page-table rebuilt from the
-layout (:mod:`repro.engine.context`), so replays are order-independent
-and can fan out over ``REPRO_JOBS`` worker processes.  Layout-less
-traces (hand-built or legacy) fall back to the historical shared-
-workspace replay.
+Replays run in **isolated contexts**: each scheme gets a private
+kernel/process/page-table rebuilt from the trace's recorded layout
+(:mod:`repro.engine.context`; every trace produced by
+``Workspace.finish`` since format v2 carries one), so replays are
+order-independent and fan out over ``REPRO_JOBS`` worker processes
+through the engine's one replay path
+(:func:`repro.engine.executor.replay_cells`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Optional
 
-from ..core.schemes import (NullProtection, scheme_by_name, schemes_tagged,
-                            supports_domain_count)
-from ..cpu.fast_timing import make_replay_engine
+from ..core.schemes import schemes_tagged, supports_domain_count
 from ..cpu.trace import Trace
-from ..workloads.base import Workspace
 from .config import DEFAULT_CONFIG, SimConfig
 from .stats import RunStats
 
@@ -48,58 +45,23 @@ def viable_schemes(schemes: Iterable[str], n_domains: int) -> tuple:
                  if supports_domain_count(name, n_domains))
 
 
-def _replay_shared(trace: Trace, workspace: Workspace, names, config,
-                   include_baseline: bool) -> Dict[str, RunStats]:
-    """Legacy path: replay sequentially against the generating workspace."""
-    kernel, process = workspace.kernel, workspace.process
-    results: Dict[str, RunStats] = {}
-    baseline = make_replay_engine(config, kernel, process,
-                                  NullProtection).run(trace)
-    if include_baseline:
-        results["baseline"] = baseline
-    for name in names:
-        engine = make_replay_engine(config, kernel, process,
-                                    scheme_by_name(name))
-        stats = engine.run(trace)
-        stats.baseline_cycles = baseline.cycles
-        results[name] = stats
-    return results
-
-
-def replay_trace(trace: Trace, workspace: Optional[Workspace] = None,
-                 schemes: Iterable[str] = MULTI_PMO_SCHEMES,
-                 config: Optional[SimConfig] = None,
-                 *, include_baseline: bool = True,
+def replay_trace(trace: Trace, schemes: Iterable[str] = MULTI_PMO_SCHEMES,
+                 config: Optional[SimConfig] = None, *,
                  jobs: Optional[int] = None) -> Dict[str, RunStats]:
     """Replay one trace under the baseline plus each named scheme.
 
     Returns scheme name → :class:`RunStats`; every non-baseline result has
-    ``baseline_cycles`` filled in so ``overhead_percent()`` works.
-
-    ``workspace`` is only consulted for traces without a recorded layout;
-    layout-bearing traces rebuild fresh state per scheme, and ``jobs``
+    ``baseline_cycles`` filled in so ``overhead_percent()`` works.  Each
+    scheme rebuilds fresh state from the trace's layout (a trace without
+    one raises :class:`~repro.errors.EngineError`), and ``jobs``
     (default: ``REPRO_JOBS``) schemes replay concurrently.
     """
-    config = config or DEFAULT_CONFIG
-    names = [name for name in dict.fromkeys(schemes) if name != "baseline"]
-
-    if trace.layout is None:
-        if workspace is None:
-            raise ValueError(
-                "trace has no layout; pass its generating workspace")
-        return _replay_shared(trace, workspace, names, config,
-                              include_baseline)
-
-    from ..engine.context import replay_items
-    stats_list = replay_items(trace, ["baseline", *names], config, jobs=jobs)
-    baseline = stats_list[0]
-    results: Dict[str, RunStats] = {}
-    if include_baseline:
-        results["baseline"] = baseline
-    for name, stats in zip(names, stats_list[1:]):
-        stats.baseline_cycles = baseline.cycles
-        results[name] = stats
-    return results
+    from ..engine.executor import replay_cells
+    from ..engine.job import BASELINE, scheme_cell
+    return replay_cells([scheme_cell((BASELINE, *schemes), spec=None,
+                                     trace=trace,
+                                     config=config or DEFAULT_CONFIG)],
+                        jobs=jobs)[0]
 
 
 def overhead_over_lowerbound(results: Dict[str, RunStats],

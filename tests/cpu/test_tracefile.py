@@ -49,8 +49,8 @@ class TestRoundTrip:
         path = tmp_path / "t.npz"
         save_trace(trace, path)
         loaded = load_trace(path)
-        original = replay_trace(trace, ws, ("domain_virt",))
-        reloaded = replay_trace(loaded, ws, ("domain_virt",))
+        original = replay_trace(trace, ("domain_virt",))
+        reloaded = replay_trace(loaded, ("domain_virt",))
         assert reloaded["domain_virt"].cycles == \
             original["domain_virt"].cycles
 

@@ -2,15 +2,36 @@
 
 import pytest
 
+from repro.core.schemes import NullProtection, scheme_by_name
+from repro.cpu.fast_timing import make_replay_engine
 from repro.engine import ReplayContext, replay_one
 from repro.errors import EngineError
 from repro.mem.memory import NVM_FRAME_BASE
-from repro.sim.simulator import MULTI_PMO_SCHEMES, _replay_shared
+from repro.sim.simulator import MULTI_PMO_SCHEMES
 from repro.sim.config import DEFAULT_CONFIG
 from repro.cpu.trace import Trace
 from repro.workloads.micro import MicroParams, generate_micro_trace
 
 TINY = dict(n_pools=12, operations=150, initial_nodes=16, pool_size=1 << 20)
+
+
+def _replay_shared(trace, workspace, names, config, include_baseline):
+    """The historical replay: every scheme in turn against the generating
+    workspace's own kernel and process (the oracle for isolated contexts).
+    """
+    kernel, process = workspace.kernel, workspace.process
+    results = {}
+    baseline = make_replay_engine(config, kernel, process,
+                                  NullProtection).run(trace)
+    if include_baseline:
+        results["baseline"] = baseline
+    for name in names:
+        engine = make_replay_engine(config, kernel, process,
+                                    scheme_by_name(name))
+        stats = engine.run(trace)
+        stats.baseline_cycles = baseline.cycles
+        results[name] = stats
+    return results
 
 
 @pytest.fixture(scope="module")

@@ -55,7 +55,8 @@ class TestReplayGrouping:
     def test_replay_many_preserves_spec_order(self, engine):
         specs = [WorkloadSpec.micro("ll", 8, **TINY),
                  WorkloadSpec.micro("ll", 16, **TINY)]
-        results = engine.replay_many(specs, ("lowerbound",))
+        results = engine.replay_grid(
+            [(spec, engine.config) for spec in specs], ("lowerbound",))
         assert len(results) == 2
         # Each batch slot must match its spec's individual replay.
         for spec, batched in zip(specs, results):

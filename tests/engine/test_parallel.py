@@ -6,12 +6,15 @@ import signal
 
 import pytest
 
-from repro.engine import TraceCache, parallel_map, worker_count
+from repro.engine import Engine, TraceCache, parallel_map, worker_count
 from repro.engine.executor import _fork_available
 from repro.errors import EngineError
 from repro.experiments.figure6 import FIGURE6_SCHEMES, run_figure6
 from repro.experiments.runner import ExperimentRunner
-from repro.sim.simulator import MULTI_PMO_SCHEMES
+from repro.service import ServiceParams, generate_service_trace, \
+    shard_by_worker
+from repro.sim.simulator import MULTI_PMO_SCHEMES, replay_trace
+from repro.workloads.micro import MicroParams, generate_micro_trace
 
 
 class TestWorkerCount:
@@ -121,3 +124,38 @@ class TestParallelReplayEquivalence:
         parallel = run(4)
         for scheme in FIGURE6_SCHEMES:
             assert serial["ll"][scheme] == parallel["ll"][scheme]
+
+
+def _replayed(stats):
+    """A RunStats export without the wall-clock metrics."""
+    out = stats.to_dict()
+    out.pop("metrics", None)
+    return out, stats.mark_cycles
+
+
+@pytest.mark.skipif(not _fork_available(), reason="requires fork")
+class TestTraceJobEquivalence:
+    """Jobs that carry their trace (``replay_trace``, shards) must also
+    replay identically in a worker and in the parent."""
+
+    def test_replay_trace_parallel_equals_serial(self):
+        trace, _ = generate_micro_trace(MicroParams(
+            benchmark="avl", n_pools=16, operations=120, initial_nodes=16))
+        serial = replay_trace(trace, MULTI_PMO_SCHEMES, jobs=1)
+        parallel = replay_trace(trace, MULTI_PMO_SCHEMES, jobs=2)
+        assert serial.keys() == parallel.keys()
+        for scheme in serial:
+            assert _replayed(serial[scheme]) == _replayed(parallel[scheme]), \
+                scheme
+
+    def test_replay_shards_parallel_equals_serial(self):
+        trace, _ = generate_service_trace(
+            ServiceParams(n_clients=24, n_requests=200, workers=2))
+        shards = shard_by_worker(trace)
+        schemes = ("mpk_virt", "libmpk", "domain_virt")
+        serial = Engine(jobs=1).replay_shards(shards, schemes)
+        parallel = Engine(jobs=2).replay_shards(shards, schemes)
+        assert serial.keys() == parallel.keys() == {"baseline", *schemes}
+        for scheme in serial:
+            assert [_replayed(s) for s in serial[scheme]] == \
+                [_replayed(p) for p in parallel[scheme]], scheme

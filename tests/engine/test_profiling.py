@@ -5,8 +5,11 @@ import pstats
 import pytest
 
 from repro import obs
+from repro.engine import Engine
 from repro.engine.executor import _run_job, profile_dir
 from repro.engine.job import ReplayJob, WorkloadSpec
+from repro.service import ServiceParams, generate_service_trace, \
+    shard_by_worker
 
 
 def _job():
@@ -67,3 +70,30 @@ class TestProfileDump:
         profiled = _run_job(_job())
         assert repr(plain.cycles) == repr(profiled.cycles)
         assert plain.buckets == profiled.buckets
+
+    def test_every_shard_job_dumps_a_flat_named_profile(self, monkeypatch,
+                                                        tmp_path):
+        # Shard labels read "<label>/shard<k>"; the dumps must still land
+        # in the profile directory, one per (shard x scheme) job.
+        trace, _ = generate_service_trace(
+            ServiceParams(n_clients=6, n_requests=60, workers=2))
+        shards = shard_by_worker(trace)
+        monkeypatch.setenv("REPRO_PROFILE", str(tmp_path))
+        monkeypatch.setenv("REPRO_EVENTS", "ring")
+        obs.reset()
+        try:
+            cell = Engine(jobs=1).replay_shards(shards, ("domain_virt",))
+            records = [r for r in obs.active_events().records()
+                       if r["kind"] == "job.profile"]
+        finally:
+            monkeypatch.delenv("REPRO_EVENTS")
+            obs.reset()
+        n_jobs = len(cell) * len(shards)
+        assert n_jobs == 4
+        dumps = list(tmp_path.iterdir())
+        assert len(dumps) == len(records) == n_jobs
+        for dump in dumps:
+            assert dump.is_file() and dump.suffix == ".pstats"
+            assert len(pstats.Stats(str(dump)).stats) > 0
+        assert sorted(r["label"] for r in records) == sorted(
+            shard.trace.label for shard in shards for _ in cell)

@@ -33,7 +33,7 @@ class TestExecuteOnly:
         for offset in range(0, 64, 8):
             ws.fetch(pool.va_of(code, offset))
         trace = ws.finish()
-        results = replay_trace(trace, ws, (scheme,))
+        results = replay_trace(trace, (scheme,))
         assert results[scheme].protection_faults == 0
 
     @pytest.mark.parametrize("scheme", SCHEMES)
@@ -45,13 +45,13 @@ class TestExecuteOnly:
         ws.recorder.load(ws.tid, pool.va_of(code))  # data read: illegal
         trace = ws.finish()
         with pytest.raises(ProtectionFault):
-            replay_trace(trace, ws, (scheme,))
+            replay_trace(trace, (scheme,))
 
     def test_fetch_counts_as_pmo_access_with_memory_latency(self):
         ws, pool, code = build_code_pmo()
         ws.fetch(pool.va_of(code))
         trace = ws.finish()
-        results = replay_trace(trace, ws, ())
+        results = replay_trace(trace, ())
         assert results["baseline"].pmo_accesses == 1
         # An instruction fetch misses the cold cache: NVM latency applies.
         assert results["baseline"].cycles > 100

@@ -19,7 +19,7 @@ MICRO = dict(initial_nodes=48, operations=400)
 def micro_results(benchmark, n_pools):
     trace, ws = generate_micro_trace(
         MicroParams(benchmark=benchmark, n_pools=n_pools, **MICRO))
-    return replay_trace(trace, ws, viable_schemes(MULTI_PMO_SCHEMES, n_pools))
+    return replay_trace(trace, viable_schemes(MULTI_PMO_SCHEMES, n_pools))
 
 
 @pytest.fixture(scope="module")
@@ -104,7 +104,7 @@ class TestTableVShape:
     def whisper(self):
         trace, ws = generate_whisper_trace(
             WhisperParams(benchmark="hashmap", transactions=200))
-        return replay_trace(trace, ws, SINGLE_PMO_SCHEMES)
+        return replay_trace(trace, SINGLE_PMO_SCHEMES)
 
     def test_single_pmo_mpk_equals_mpk_virt(self, whisper):
         """Table V: one PMO never evicts, so the virtualization adds ~0."""
@@ -139,7 +139,7 @@ class TestBenchmarkLocalityShapes:
         for benchmark in ("ll", "ss"):
             trace, ws = generate_micro_trace(MicroParams(
                 benchmark=benchmark, n_pools=64, **MICRO))
-            results = replay_trace(trace, ws, ("lowerbound",))
+            results = replay_trace(trace, ("lowerbound",))
             rates[benchmark] = results["lowerbound"].switches_per_second(
                 2.2e9, results["baseline"].cycles)
         assert rates["ll"] < rates["ss"]

@@ -8,10 +8,13 @@ must report complete metrics *and* leave the replay numbers untouched.
 import pytest
 
 from repro import obs
-from repro.engine import TraceCache
+from repro.engine import Engine, TraceCache, WorkloadSpec
 from repro.engine.executor import _fork_available
 from repro.experiments.runner import ExperimentRunner
-from repro.sim.simulator import MULTI_PMO_SCHEMES
+from repro.sim.simulator import MULTI_PMO_SCHEMES, replay_trace
+from repro.workloads.micro import MicroParams, generate_micro_trace
+
+TINY = dict(n_pools=8, operations=60, initial_nodes=12, pool_size=1 << 20)
 
 
 def _run(monkeypatch, tmp_path, jobs):
@@ -51,6 +54,20 @@ class TestForkWorkerMerge:
             assert stats.metrics is not None, scheme
             assert stats.metrics["counters"]["engine.jobs.completed"] == 1
 
+    def test_workers_gauge_counts_the_workers_that_ran(self, monkeypatch,
+                                                       tmp_path):
+        # Two jobs fork two workers, however wide REPRO_JOBS is.
+        monkeypatch.setenv("REPRO_METRICS", "1")
+        monkeypatch.setenv("REPRO_JOBS", "4")
+        obs.reset()
+        engine = Engine(cache=TraceCache(tmp_path / "cache"))
+        engine.replay(WorkloadSpec.micro("ll", 8, operations=60,
+                                         initial_nodes=12),
+                      ("lowerbound",))
+        gauges = obs.metrics().as_dict()["gauges"]
+        assert gauges["engine.workers"] == 2.0
+        assert 0.0 < gauges["engine.worker.utilization"] <= 1.0
+
     def test_parallel_equals_serial_modulo_metrics(self, monkeypatch,
                                                    tmp_path):
         serial, _ = _run(monkeypatch, tmp_path, jobs=1)
@@ -74,3 +91,32 @@ class TestSerialMerge:
 
     def test_snapshot_none_when_disabled(self):
         assert ExperimentRunner(scale=0.02).metrics_snapshot() is None
+
+
+class TestReplayTraceObserved:
+    """``replay_trace`` runs through the engine's one job path, so its
+    jobs are counted, merged and announced like any other fan-out."""
+
+    SCHEMES = ("lowerbound", "mpk_virt", "domain_virt")
+
+    def test_metrics_merge_into_the_registry(self, monkeypatch):
+        monkeypatch.setenv("REPRO_METRICS", "1")
+        obs.reset()
+        trace, _ = generate_micro_trace(MicroParams(benchmark="avl", **TINY))
+        results = replay_trace(trace, self.SCHEMES)
+        counters = obs.metrics().as_dict()["counters"]
+        assert counters["engine.jobs.completed"] == 1 + len(self.SCHEMES)
+        assert counters["tlb.l1.hits"] == sum(
+            stats.tlb_l1_hits for stats in results.values())
+
+    def test_every_job_emits_its_lifecycle(self, monkeypatch):
+        monkeypatch.setenv("REPRO_EVENTS", "ring")
+        obs.reset()
+        trace, _ = generate_micro_trace(MicroParams(benchmark="avl", **TINY))
+        # Serial: a forked worker's events would stay in its own ring.
+        replay_trace(trace, self.SCHEMES, jobs=1)
+        records = obs.active_events().records()
+        for kind in ("job.submit", "job.replay", "job.done"):
+            schemes = [r["scheme"] for r in records if r["kind"] == kind]
+            assert sorted(schemes) == sorted(("baseline", *self.SCHEMES)), \
+                kind

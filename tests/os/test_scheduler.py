@@ -126,7 +126,7 @@ class TestMultiThreadedReplay:
         sched.run()
         trace = ws.finish()
         results = replay_trace(
-            trace, ws, ("mpk_virt", "domain_virt", "libmpk"))
+            trace, ("mpk_virt", "domain_virt", "libmpk"))
         for name in ("mpk_virt", "domain_virt", "libmpk"):
             assert results[name].protection_faults == 0
             assert results[name].context_switches == sched.switches

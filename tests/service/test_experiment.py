@@ -61,8 +61,8 @@ class TestEngineRoundTrip:
     def test_replay_marked_snapshots_every_scheme(self, engine):
         spec = WorkloadSpec.service(**TINY)
         marks = batch_boundaries(engine.trace_for(spec))
-        cell = engine.replay_marked(spec, ("lowerbound", "domain_virt"),
-                                    marks)
+        cell = engine.replay(spec, ("lowerbound", "domain_virt"),
+                             marks=marks)
         assert set(cell) == {"baseline", "lowerbound", "domain_virt"}
         for stats in cell.values():
             assert len(stats.mark_cycles) == len(marks)

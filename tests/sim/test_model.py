@@ -13,7 +13,7 @@ from repro.workloads.micro import MicroParams, generate_micro_trace
 def measured():
     trace, ws = generate_micro_trace(MicroParams(
         benchmark="rbt", n_pools=128, initial_nodes=48, operations=500))
-    return replay_trace(trace, ws, viable_schemes(MULTI_PMO_SCHEMES, 128))
+    return replay_trace(trace, viable_schemes(MULTI_PMO_SCHEMES, 128))
 
 
 class TestPredictionsMatchSimulation:

@@ -19,20 +19,20 @@ and modelled server performance from one artifact.
 """
 
 import json
-import os
 import pathlib
 from dataclasses import replace
 
 import pytest
 
 from repro.engine import replay_one
+from repro.scenario import smoke_active
 from repro.service import (ServiceParams, account, account_sharded,
                            batch_boundaries, build_plan,
                            generate_service_trace,
                            generate_service_trace_keyed, shard_by_worker)
 from repro.sim.config import DEFAULT_CONFIG
 
-_SMOKE = bool(os.environ.get("REPRO_SMOKE"))
+_SMOKE = smoke_active()
 
 PARAMS = ServiceParams(n_clients=64, n_requests=20_000)
 #: The scheme-keyed closed loop: calibration + feedback dispatch.  The

@@ -21,7 +21,6 @@ replay's minutes-long bit-exact walk is not worth the wait.
 """
 
 import argparse
-import os
 import resource
 import sys
 import time
@@ -36,7 +35,8 @@ def peak_rss_mb() -> float:
 
 
 def main() -> int:
-    smoke = bool(os.environ.get("REPRO_SMOKE"))
+    from repro.scenario import smoke_active
+    smoke = smoke_active()
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requests", type=int,
                         default=50_000 if smoke else 1_000_000)

@@ -10,12 +10,12 @@ rolls back cleanly on recovery, and the total balance is conserved.
 Run:  python examples/crash_recovery.py      (REPRO_SMOKE=1 shrinks it)
 """
 
-import os
 import random
 
 from repro.pmo import Pool, TransactionManager
+from repro.scenario import smoke_active
 
-SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
+SMOKE = smoke_active()
 N_ACCOUNTS = 16
 N_ROUNDS = 40 if SMOKE else 200
 INITIAL_BALANCE = 1_000

@@ -12,14 +12,14 @@ Run:  python examples/key_grouping.py [n_clients]
       (REPRO_SMOKE=1 shrinks it)
 """
 
-import os
 import sys
 
 from repro.permissions import Perm
 from repro.core.grouping import (exposure_report, greedy_grouping,
                                  weakening)
+from repro.scenario import smoke_active
 
-SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
+SMOKE = smoke_active()
 N_KEYS = 16
 
 

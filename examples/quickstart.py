@@ -15,15 +15,14 @@ Walks through the paper's core ideas in five minutes:
 Run:  python examples/quickstart.py      (REPRO_SMOKE=1 shrinks it)
 """
 
-import os
-
 from repro.errors import ProtectionFault
 from repro.permissions import Perm
+from repro.scenario import smoke_active
 from repro.sim.simulator import replay_trace
 from repro.workloads.base import PerOpPolicy, Workspace
 from repro.workloads.datastructures import PersistentRBTree
 
-SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
+SMOKE = smoke_active()
 N_KEYS = 16 if SMOKE else 64
 
 

@@ -20,15 +20,14 @@ The demo shows:
 Run:  python examples/secure_server.py      (REPRO_SMOKE=1 shrinks it)
 """
 
-import os
-
 from repro.engine import Engine, WorkloadSpec
 from repro.errors import PkeyError, ProtectionFault
+from repro.scenario import smoke_active
 from repro.service import (ServiceParams, ServiceWorkload, account,
                            batch_boundaries, build_plan)
 from repro.sim.simulator import replay_trace
 
-SMOKE = os.environ.get("REPRO_SMOKE", "") not in ("", "0")
+SMOKE = smoke_active()
 N_CLIENTS = 64
 N_REQUESTS = 120 if SMOKE else 800
 

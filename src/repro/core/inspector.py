@@ -108,7 +108,7 @@ class TraceInspector:
         for tid, windows in open_windows.items():
             for domain in windows:
                 report.violations.append(Violation(
-                    "unbalanced-grant", len(trace.events), tid, domain,
+                    "unbalanced-grant", len(trace), tid, domain,
                     "grant never revoked before end of trace"))
         return report
 

@@ -1,7 +1,7 @@
 """Trace replay with cycle-approximate timing — the Sniper stand-in.
 
-The engine replays a recorded trace against a fresh TLB + cache hierarchy
-and one protection scheme, accumulating cycles:
+:class:`ReplayEngine` replays a recorded trace against a fresh TLB +
+cache hierarchy and one protection scheme, accumulating cycles:
 
 * retired instructions cost ``base_cpi`` cycles each;
 * a memory access pays its TLB cost (L1 hit free, L2 hit 4 cycles, full
@@ -13,6 +13,15 @@ and one protection scheme, accumulating cycles:
 The baseline run uses the ``NullProtection`` scheme over the *same* trace,
 so overhead percentages isolate exactly the protection machinery, as in
 the paper's methodology (Section V).
+
+This interpreter walks the row view event by event: the differential
+oracle of the array-backed engine (:mod:`repro.cpu.fast_timing`), and
+the fallback for schemes no fast kernel family covers.  Both engines
+share :meth:`ReplayEngine.run` and its hooks.  Traced, every hook that
+can emit a record (a TLB fill, a permission check, a cold event) first
+stamps ``ev.cycle``: the machine cycles before the event, plus its
+``icount*cpi``, plus its TLB penalty (fill or check), plus the scheme
+charges so far, added in that order.
 """
 
 from __future__ import annotations
@@ -31,6 +40,7 @@ from ..os.process import Process
 from ..sim.config import SimConfig
 from ..sim.stats import RunStats
 from . import trace as tr
+from .trace import ATTACH, CTXSW, DETACH, INIT_PERM, PERM
 
 
 class ReplayEngine:
@@ -84,51 +94,42 @@ class ReplayEngine:
         (the event stream is processed identically, so cycle totals are
         bit-identical with and without marks).
         """
-        stats = self.stats
+        ev = self._begin(trace)
+        try:
+            self._play(trace, marks)
+            return self._finish()
+        finally:
+            # An aborted replay (protection fault, key exhaustion) emits
+            # no replay.done, but its span still closes: later records
+            # must not carry its scheme/label/cycle.
+            if ev is not None:
+                ev.end_replay()
+                ev.flush()
 
-        attach_table = (self.attach_info if self.attach_info is not None
-                        else trace.attach_info)
+    # -- shared by both engines -----------------------------------------------
 
-        # Observability: the event trace is None when tracing is off;
-        # every use inside `_replay` sits on a cold path (full TLB miss,
-        # PERM/CTXSW/ATTACH/DETACH) so the hot load/store path is
-        # untouched.  Nothing here charges cycles — RunStats stays
-        # bit-identical with obs on or off.
-        ev = obs.active_events()
+    def _begin(self, trace: tr.Trace):
+        """Resolve the attach table and open the event span; returns the
+        event trace, or ``None`` when tracing is off.  Tracing charges
+        nothing: ``RunStats`` are bit-identical with it on or off."""
+        self._attach_table = (self.attach_info
+                              if self.attach_info is not None
+                              else trace.attach_info)
+        ev = self._ev = obs.active_events()
         if ev is not None:
             ev.begin_replay(self.scheme.name, trace.label)
             ev.emit("replay.start")
+        return ev
 
-        events = trace.events
-        if marks:
-            snapshots: List[float] = []
-            cycles = 0.0
-            instructions = 0
-            previous = 0
-            for stop in marks:
-                cycles, instructions = self._replay(
-                    events, previous, stop, cycles, instructions,
-                    attach_table, ev)
-                snapshots.append(cycles + stats.cycles)
-                previous = stop
-            cycles, instructions = self._replay(
-                events, previous, len(events), cycles, instructions,
-                attach_table, ev)
-            stats.mark_cycles = snapshots
-        else:
-            cycles, instructions = self._replay(
-                events, 0, len(events), 0.0, 0, attach_table, ev)
-
-        # Scheme charges already accumulated into stats.cycles; fold in the
-        # machine cycles computed here.
-        stats.cycles += cycles
-        stats.instructions = instructions
+    def _finish(self) -> RunStats:
+        """Emit ``replay.done`` and harvest a completed replay's metrics."""
+        stats = self.stats
+        ev = self._ev
         if ev is not None:
             ev.cycle = stats.cycles
             ev.emit("replay.done", cycles=stats.cycles,
-                    instructions=instructions, buckets=dict(stats.buckets))
-            ev.end_replay()
-            ev.flush()
+                    instructions=stats.instructions,
+                    buckets=dict(stats.buckets))
         if obs.metrics_enabled():
             registry = obs.MetricsRegistry()
             self.tlb.report_metrics(registry)
@@ -137,13 +138,75 @@ class ReplayEngine:
             stats.metrics = registry.as_dict()
         return stats
 
+    def _cold_event(self, kind: int, tid: int, a: int, b: int) -> None:
+        """One PERM/INIT_PERM/CTXSW/ATTACH/DETACH event: its counter, its
+        record and the scheme hook.  ``b`` is a :class:`Perm` for PERM
+        and INIT_PERM.  The caller has stamped ``ev.cycle`` when tracing
+        is on."""
+        stats = self.stats
+        scheme = self.scheme
+        ev = self._ev
+        if kind == PERM:
+            stats.perm_switches += 1
+            if ev is not None:
+                ev.emit("perm_switch", tid=tid, domain=a, perm=int(b))
+            scheme.perm_switch(tid, a, b)
+        elif kind == INIT_PERM:
+            scheme.set_initial_perm(a, tid, b)
+        elif kind == CTXSW:
+            stats.context_switches += 1
+            if ev is not None:
+                ev.emit("ctx_switch", old_tid=tid, new_tid=a)
+            scheme.context_switch(tid, a)
+        elif kind == ATTACH:
+            vma, intent = self._attach_table[a]
+            # Replay against a process whose attachments may already
+            # exist (trace generation used the same process).
+            if a not in self.process.attachments and vma.pmo_id != a:
+                raise SimulationError(f"attach of unknown domain {a}")
+            if ev is not None:
+                ev.emit("attach", domain=a)
+            scheme.attach_domain(vma, intent)
+        elif kind == DETACH:
+            if ev is not None:
+                ev.emit("detach", domain=a)
+            scheme.detach_domain(a)
+        else:  # pragma: no cover - malformed trace
+            raise SimulationError(f"unknown event kind {kind}")
+
+    # -- the reference interpreter --------------------------------------------
+
+    def _play(self, trace: tr.Trace,
+              marks: Optional[Sequence[int]]) -> None:
+        """Replay every event of the row view, one at a time."""
+        stats = self.stats
+        events = trace.events
+        snapshots: List[float] = []
+        cycles = 0.0
+        instructions = 0
+        previous = 0
+        for stop in marks or ():
+            cycles, instructions = self._replay(
+                events, previous, stop, cycles, instructions)
+            snapshots.append(cycles + stats.cycles)
+            previous = stop
+        cycles, instructions = self._replay(
+            events, previous, len(events), cycles, instructions)
+        if marks:
+            stats.mark_cycles = snapshots
+        # Scheme charges already accumulated into stats.cycles; fold in the
+        # machine cycles computed here.
+        stats.cycles += cycles
+        stats.instructions = instructions
+
     def _replay(self, events, start: int, stop: int, cycles: float,
-                instructions: int, attach_table, ev) -> Tuple[float, int]:
+                instructions: int) -> Tuple[float, int]:
         """Replay one slice of the event stream; returns the running
         (machine cycles, instructions) totals."""
         stats = self.stats
         scheme = self.scheme
         config = self.config
+        ev = self._ev
         enforce = config.enforce_protection
         cpi = config.processor.base_cpi
         overlap = config.processor.stall_overlap
@@ -156,15 +219,13 @@ class ReplayEngine:
         caches = self.caches
         page_table = self.process.page_table
         address_space = self.process.address_space
-        attachments = self.process.attachments
+        cold_event = self._cold_event
         # Memory latency comes from the replay's own config (so latency
         # ablations work); the frame number only selects the region.
         dram_latency = config.memory.dram_latency
         nvm_latency = config.memory.nvm_latency
 
-        LOAD, STORE, PERM = tr.LOAD, tr.STORE, tr.PERM
-        INIT_PERM, CTXSW = tr.INIT_PERM, tr.CTXSW
-        ATTACH, DETACH, FETCH = tr.ATTACH, tr.DETACH, tr.FETCH
+        LOAD, STORE, FETCH = tr.LOAD, tr.STORE, tr.FETCH
 
         if start == 0 and stop == len(events):
             window = events
@@ -217,6 +278,8 @@ class ReplayEngine:
                 # Instruction fetches bypass the data-permission check:
                 # "code can still jump to this domain and execute" even
                 # when reads/writes are disabled (Section II-B).
+                if ev is not None:
+                    ev.cycle = cycles + stats.cycles
                 if kind != FETCH and \
                         not scheme.check_access(tid, entry, is_write):
                     stats.protection_faults += 1
@@ -231,36 +294,10 @@ class ReplayEngine:
                 latency = caches.access((entry.pfn << 12) | (a & 0xFFF),
                                         mem_latency)
                 cycles += (latency - l1_hit_latency) * overlap
-            elif kind == PERM:
-                stats.perm_switches += 1
+            else:
                 if ev is not None:
                     ev.cycle = cycles + stats.cycles
-                    ev.emit("perm_switch", tid=tid, domain=a, perm=b)
-                scheme.perm_switch(tid, a, Perm(b))
-            elif kind == INIT_PERM:
-                scheme.set_initial_perm(a, tid, Perm(b))
-            elif kind == CTXSW:
-                stats.context_switches += 1
-                if ev is not None:
-                    ev.cycle = cycles + stats.cycles
-                    ev.emit("ctx_switch", old_tid=tid, new_tid=a)
-                scheme.context_switch(tid, a)
-            elif kind == ATTACH:
-                vma, intent = attach_table[a]
-                # Replay against a process whose attachments may already
-                # exist (trace generation used the same process).
-                if a not in attachments and vma.pmo_id != a:
-                    raise SimulationError(f"attach of unknown domain {a}")
-                if ev is not None:
-                    ev.cycle = cycles + stats.cycles
-                    ev.emit("attach", domain=a)
-                scheme.attach_domain(vma, intent)
-            elif kind == DETACH:
-                if ev is not None:
-                    ev.cycle = cycles + stats.cycles
-                    ev.emit("detach", domain=a)
-                scheme.detach_domain(a)
-            else:  # pragma: no cover - malformed trace
-                raise SimulationError(f"unknown event kind {kind}")
+                cold_event(kind, tid, a,
+                           Perm(b) if kind <= INIT_PERM else b)
 
         return cycles, instructions

@@ -47,15 +47,6 @@ def _vma_from_meta(meta: dict) -> VMA:
 
 def save_trace(trace: Trace, path: Union[str, pathlib.Path]) -> None:
     """Write a trace (and its layout, if any) to ``path`` (.npz)."""
-    # The columnar view IS the file layout; building it here also leaves
-    # the arrays cached on the trace for the fast replay engine.
-    columns = trace.columns
-    kinds = columns.kinds
-    tids = columns.tids
-    icounts = columns.icounts
-    operand_a = columns.operand_a
-    operand_b = columns.operand_b
-
     attach_meta = {
         str(domain): dict(_vma_meta(vma), intent=int(intent))
         for domain, (vma, intent) in trace.attach_info.items()
@@ -66,9 +57,12 @@ def save_trace(trace: Trace, path: Union[str, pathlib.Path]) -> None:
         "total_instructions": trace.total_instructions,
         "attach_info": attach_meta,
     }
+    # The trace's columns ARE the file layout.
+    columns = trace.columns
     arrays = {
-        "kinds": kinds, "tids": tids, "icounts": icounts,
-        "operand_a": operand_a, "operand_b": operand_b,
+        "kinds": columns.kinds, "tids": columns.tids,
+        "icounts": columns.icounts, "operand_a": columns.operand_a,
+        "operand_b": columns.operand_b,
     }
 
     layout = trace.layout
@@ -108,9 +102,6 @@ def load_trace(path: Union[str, pathlib.Path]) -> Trace:
         if header.get("version") != FORMAT_VERSION:
             raise TraceError(
                 f"unsupported trace format version {header.get('version')}")
-        # Hand the arrays straight to the columnar trace: replay runs on
-        # the columns, and row tuples only materialize if something asks
-        # for `.events` (the reference interpreter).
         columns = TraceColumns(
             data["kinds"], data["tids"], data["icounts"],
             data["operand_a"], data["operand_b"])
@@ -130,6 +121,5 @@ def load_trace(path: Union[str, pathlib.Path]) -> Trace:
     for domain, meta in header["attach_info"].items():
         attach_info[int(domain)] = (_vma_from_meta(meta),
                                     Perm(meta["intent"]))
-    return Trace(columns=columns, attach_info=attach_info,
-                 total_instructions=header["total_instructions"],
-                 label=header["label"], layout=layout)
+    return Trace(columns, attach_info, header["total_instructions"],
+                 header["label"], layout)

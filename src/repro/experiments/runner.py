@@ -35,17 +35,13 @@ from typing import Callable, Dict, Hashable, Iterable, Optional, Tuple
 from .. import obs
 from ..cpu.trace import Trace
 from ..engine import Engine, WorkloadSpec
+from ..scenario.compile import ops_scale
 from ..sim.config import DEFAULT_CONFIG, SimConfig
 from ..sim.stats import RunStats
 
 #: PMO counts of the Figure 6/7 sweep (the paper uses stride 16 from 16
 #: to 1024; powers of two keep runtimes sane while preserving the shape).
 DEFAULT_SWEEP = (16, 32, 64, 128, 256, 512, 1024)
-
-
-def ops_scale() -> float:
-    """The REPRO_OPS multiplier (defaults to 1.0)."""
-    return float(os.environ.get("REPRO_OPS", "1.0"))
 
 
 def sweep_points() -> Tuple[int, ...]:

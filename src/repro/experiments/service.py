@@ -46,7 +46,7 @@ from ..core.schemes import (SCHEME_ALIASES, hard_domain_limit,
                             resolve_scheme, scheme_descriptor)
 from ..errors import PkeyError
 from ..registry import RegistryKeyError
-from ..scenario import Scenario, compile_scenario
+from ..scenario import Scenario, compile_scenario, smoke_active
 from ..scenario.spec import ScenarioError
 from ..service import (ServiceSummary, account, account_sharded,
                        batch_boundaries, build_plan, build_plan_keyed,
@@ -412,8 +412,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         overrides["batching"] = args.batching
     if args.seed is not None:
         overrides["seed"] = args.seed
-    smoke = os.environ.get("REPRO_SMOKE", "").strip().lower()
-    if smoke not in ("", "0", "false", "off", "no"):
+    if smoke_active():
         if args.clients is DEFAULT_CLIENTS:
             args.clients = SMOKE_CLIENTS
         overrides.setdefault("n_requests", SMOKE_REQUESTS)

@@ -32,9 +32,8 @@ def smoke_active() -> bool:
     return raw not in ("", "0", "false", "off", "no")
 
 
-def _ops_scale() -> float:
-    # Deliberately *not* imported from repro.experiments.runner: the
-    # scenario layer stays importable without the experiments package.
+def ops_scale() -> float:
+    """The ``REPRO_OPS`` operation-count multiplier (defaults to 1.0)."""
     return float(os.environ.get("REPRO_OPS", "1.0"))
 
 
@@ -112,7 +111,7 @@ def compile_scenario(scenario: Scenario, *,
     same knobs share cache entries).
     """
     smoke = smoke_active() if smoke is None else smoke
-    scale = _ops_scale() if scale is None else scale
+    scale = ops_scale() if scale is None else scale
     config = base_config if base_config is not None else DEFAULT_CONFIG
 
     params = dict(scenario.params)

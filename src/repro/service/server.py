@@ -28,13 +28,12 @@ The server executes a :class:`~repro.service.batching.ServicePlan`
 
 from __future__ import annotations
 
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Tuple
 
 import numpy as np
 
 from ..cpu.trace import (CTXSW, ICOUNT_PER_ACCESS, ICOUNT_PER_PERM,
-                         INIT_PERM, LOAD, PERM, STORE, Trace, TraceColumns,
-                         TraceColumnsBuilder)
+                         INIT_PERM, LOAD, PERM, STORE, Trace)
 from ..errors import SimulationError
 from ..permissions import Perm
 from ..pmo.oid import OID
@@ -44,7 +43,7 @@ from .batching import ServicePlan, build_plan
 from .params import ServiceParams
 
 #: Assembled events per streamed chunk (bounds transient memory — the
-#: builder's final arrays are sized up front, the chunk scratch is not).
+#: recorder's columns are reserved up front, the chunk scratch is not).
 CHUNK_EVENTS = 1 << 20
 
 
@@ -100,12 +99,6 @@ class ServiceWorkload:
                 self.ws.recorder.init_perm(tid, pool.domain, Perm.R)
             self.shared_pools.append(pool)
             self.shared_records.append(record)
-
-        #: Streaming assembly state; stays ``None`` until :meth:`serve`,
-        #: so finishing an unserved workload is the plain workspace
-        #: finish.
-        self._builder: Optional[TraceColumnsBuilder] = None
-        self._streamed_instructions = 0
 
     # -- serving -----------------------------------------------------------------
 
@@ -252,13 +245,9 @@ class ServiceWorkload:
         """
         params = self.params
         ws = self.ws
+        recorder = ws.recorder
         cols = plan.columns
         store = cols.requests
-
-        # Setup (and anything else recorded so far) streams out first.
-        if self._builder is None:
-            self._builder = TraceColumnsBuilder()
-        self._flush_recorder()
 
         n_shared = len(self.shared_records)
         n_sh = params.shared_words if n_shared else 0
@@ -339,8 +328,7 @@ class ServiceWorkload:
 
         perm_rw = int(Perm.RW)
         perm_none = int(Perm.NONE)
-        total_events = int(block_csr[-1])
-        self._builder.reserve(len(self._builder) + total_events)
+        recorder.reserve(int(block_csr[-1]))
 
         cursor = 0
         while cursor < len(blocks):
@@ -430,30 +418,11 @@ class ServiceWorkload:
                     op_a[spos] = np.tile(storm_domains, flagged)
                     op_b[spos] = perm_none
 
-            self._streamed_instructions += int(icounts.sum())
-            self._builder.extend(kinds, tids, icounts, op_a, op_b)
+            recorder.extend(kinds, tids, icounts, op_a, op_b)
             cursor = end
 
-    def _flush_recorder(self) -> None:
-        """Drain recorder-emitted events into the streaming builder."""
-        events = self.ws.recorder.drain()
-        if events:
-            self._builder.append_columns(TraceColumns.from_events(events))
-
     def finish(self) -> Trace:
-        if self._builder is None:
-            return self.ws.finish()
-        self._flush_recorder()
-        recorder = self.ws.recorder
-        recorder.close()
-        trace = Trace(
-            columns=self._builder.finish(),
-            attach_info=recorder.attach_info,
-            total_instructions=recorder.total_instructions +
-            self._streamed_instructions,
-            label=recorder.label)
-        trace.layout = self.ws.snapshot_layout()
-        return trace
+        return self.ws.finish()
 
     # -- attack injection (examples/tests) ----------------------------------------
 

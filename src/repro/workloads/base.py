@@ -277,23 +277,16 @@ class Workspace:
         if self._recording:
             self.recorder.context_switch(old.tid, new.tid)
 
-    def snapshot_layout(self) -> TraceLayout:
-        """The process image a replay of this workspace's trace needs —
-        every VMA (copied), the page table in fault order, the thread
-        count.  Used by :meth:`finish` and by streaming trace builders
-        that assemble their event columns outside the recorder."""
-        vmas = [_vma_copy(vma) for vma in self.process.address_space.vmas()]
-        return TraceLayout(
-            vmas=vmas,
+    def finish(self) -> Trace:
+        """Finalize the trace, embedding the process image it replays
+        against — every VMA (copied), the page table in fault order, the
+        thread count — so replays reconstruct fresh, isolated contexts."""
+        trace = self.recorder.finish()
+        trace.layout = TraceLayout(
+            vmas=[_vma_copy(vma) for vma in self.process.address_space.vmas()],
             ptes=[(vpn, pte.pfn, int(pte.perm), pte.pkey, pte.domain)
                   for vpn, pte in self.process.page_table.entries()],
             n_threads=len(self.process.threads))
-
-    def finish(self) -> Trace:
-        """Finalize the trace, embedding the process image it replays
-        against (so replays reconstruct fresh, isolated contexts)."""
-        trace = self.recorder.finish()
-        trace.layout = self.snapshot_layout()
         return trace
 
 

@@ -1,5 +1,6 @@
 """Tests for trace recording."""
 
+import numpy as np
 import pytest
 
 from repro.permissions import Perm
@@ -86,3 +87,23 @@ class TestRecording:
         trace = rec.finish()
         assert len(trace) == 1
         assert trace.label == "mylabel"
+
+    def test_rows_round_trip_across_the_chunk_boundary(self):
+        # Single events move into the column builder every ROW_CHUNK
+        # rows; a bulk chunk lands after them, and compute() still
+        # pending then stays with the next single event.
+        rec = tr.TraceRecorder()
+        expected = []
+        for i in range(tr.ROW_CHUNK + 5):
+            rec.load(i % 3, 8 * i)
+            expected.append((tr.LOAD, i % 3, tr.ICOUNT_PER_ACCESS, 8 * i, 8))
+        rec.compute(10)
+        chunk = [(tr.PERM, 1, 1, 7, int(Perm.RW)),
+                 (tr.STORE, 2, 4, 1 << 40, 8)]
+        rec.extend(*(np.array(column) for column in zip(*chunk)))
+        expected += chunk
+        rec.store(1, 64)
+        expected.append((tr.STORE, 1, tr.ICOUNT_PER_ACCESS + 10, 64, 8))
+        trace = rec.finish()
+        assert trace.events == expected
+        assert trace.total_instructions == sum(row[2] for row in expected)

@@ -9,7 +9,7 @@ from repro.errors import EngineError
 from repro.mem.memory import NVM_FRAME_BASE
 from repro.sim.simulator import MULTI_PMO_SCHEMES
 from repro.sim.config import DEFAULT_CONFIG
-from repro.cpu.trace import Trace
+from repro.cpu.trace import Trace, TraceColumns
 from repro.workloads.micro import MicroParams, generate_micro_trace
 
 TINY = dict(n_pools=12, operations=150, initial_nodes=16, pool_size=1 << 20)
@@ -41,8 +41,8 @@ def generated():
 
 class TestReconstruction:
     def test_requires_layout(self):
-        bare = Trace(events=[], attach_info={}, total_instructions=0,
-                     label="bare")
+        bare = Trace(TraceColumns.from_events([]), attach_info={},
+                     total_instructions=0, label="bare")
         with pytest.raises(EngineError):
             ReplayContext.from_trace(bare)
 

@@ -10,11 +10,13 @@ import json
 import pytest
 
 from repro import obs
-from repro.engine import TraceCache
+from repro.engine import TraceCache, replay_one
+from repro.errors import PkeyError
 from repro.experiments.runner import ExperimentRunner
 from repro.obs import schema
 from repro.sim.simulator import MULTI_PMO_SCHEMES
 from repro.tools import obsreport
+from repro.workloads.micro import MicroParams, generate_micro_trace
 
 
 @pytest.fixture()
@@ -75,6 +77,24 @@ class TestJsonlStream:
         with open(sink, "a") as handle:
             handle.write('{"kind": "truncat')  # killed mid-flush
         assert len(obsreport.load_events(str(sink))) == intact
+
+
+class TestAbortedReplay:
+    def test_span_closes_when_the_replay_raises(self, monkeypatch):
+        # Default MPK runs out of keys at 24 domains mid-replay; records
+        # emitted after that belong to no replay.
+        monkeypatch.setenv("REPRO_EVENTS", "ring")
+        obs.reset()
+        trace, _ = generate_micro_trace(MicroParams(
+            benchmark="avl", n_pools=24, initial_nodes=24, operations=40))
+        with pytest.raises(PkeyError):
+            replay_one(trace, "mpk")
+        ev = obs.active_events()
+        kinds = [record["kind"] for record in ev.records()]
+        assert "replay.start" in kinds
+        assert "replay.done" not in kinds
+        ev.emit("job.cache_hit")
+        assert not {"scheme", "label", "cycle"} & ev.records()[-1].keys()
 
 
 class TestSampling:

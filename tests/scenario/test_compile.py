@@ -123,3 +123,10 @@ class TestSmoke:
         assert compiled.smoke
         monkeypatch.setenv("REPRO_SMOKE", "0")
         assert not smoke_active()
+
+    @pytest.mark.parametrize("raw, on", [
+        ("", False), ("0", False), ("false", False), ("no", False),
+        ("off", False), ("1", True), ("yes", True)])
+    def test_smoke_truth_table(self, monkeypatch, raw, on):
+        monkeypatch.setenv("REPRO_SMOKE", raw)
+        assert smoke_active() is on

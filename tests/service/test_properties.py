@@ -11,7 +11,6 @@ randomly drawn :class:`ServiceParams`.
 """
 
 import dataclasses
-import os
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +18,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.schemes import available_schemes, scheme_by_name
-from repro.cpu.fast_timing import supports_fast_replay
-from repro.engine import replay_one
+from repro.cpu.fast_timing import FastReplayEngine, supports_fast_replay
+from repro.cpu.timing import ReplayEngine
+from repro.engine import ReplayContext, replay_one
 from repro.service import (CalibratedClock, ServiceParams, account,
                            account_sharded, batch_boundaries, build_plan,
                            shard_by_worker)
@@ -122,26 +122,23 @@ def served_trace(params):
     return workload.finish()
 
 
-def replay_under(fast, trace, scheme, marks):
-    """Replay with ``REPRO_FAST`` set to ``fast``; a raised error is
-    returned as its type and message."""
-    saved = os.environ.get("REPRO_FAST")
-    os.environ["REPRO_FAST"] = fast
+def replay_under(engine_class, trace, scheme, marks):
+    """Replay on an ``engine_class`` engine over a fresh context; a
+    raised error is returned as its type and message."""
+    context = ReplayContext.from_trace(trace)
+    engine = engine_class(DEFAULT_CONFIG, context.kernel, context.process,
+                          scheme_by_name(scheme),
+                          attach_info=context.attach_info)
     try:
-        return replay_one(trace, scheme, marks=marks)
+        return engine.run(trace, marks=marks)
     except Exception as error:  # compared across engines below
         return type(error), str(error)
-    finally:
-        if saved is None:
-            del os.environ["REPRO_FAST"]
-        else:
-            os.environ["REPRO_FAST"] = saved
 
 
 def assert_fast_is_reference(trace, scheme):
     marks = batch_boundaries(trace)
-    ref = replay_under("0", trace, scheme, marks)
-    fast = replay_under("1", trace, scheme, marks)
+    ref = replay_under(ReplayEngine, trace, scheme, marks)
+    fast = replay_under(FastReplayEngine, trace, scheme, marks)
     if isinstance(ref, tuple):
         assert ref == fast
         return

@@ -44,6 +44,13 @@ class DomainVirtScheme(ProtectionScheme):
         self.ptlb = PTLB(cfg.ptlb_entries)
         self._current_tid: int = -1
 
+    @classmethod
+    def charge_cycles(cls, config) -> tuple:
+        """Every cycle charge the hooks below book (the charging map)."""
+        cfg = config.domain_virt
+        return (config.mpk.wrpkru_cycles, cfg.ptlb_access_cycles,
+                cfg.ptlb_miss_cycles, cfg.ptlb_entry_change_cycles)
+
     # -- setup hooks --------------------------------------------------------------
 
     def attach_domain(self, vma: VMA, intent: Perm) -> None:

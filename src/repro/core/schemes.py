@@ -64,7 +64,8 @@ class CostDescriptor:
       via a :class:`~repro.core.mpk.PKRU`-compatible ``self.pkru``.
     * ``check == "ptlb"``: accesses consult a ``self.ptlb`` with
       :class:`~repro.core.domain_virt.DomainVirtScheme`'s refill
-      protocol and a per-access integer charge.
+      protocol and a per-access charge; the class lists every cycle
+      charge its hooks book in ``charge_cycles(config)``.
     * ``check == "swtable"``: accesses consult software metadata via
       ``self._swtable_probe(domain, tid) -> Perm`` (cold side effects —
       faults, remaps — included).

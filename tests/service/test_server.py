@@ -48,8 +48,9 @@ class TestBatchBoundaries:
         trace, plan = generated
         marks = batch_boundaries(trace)
         assert len(marks) == plan.columns.n_batches
+        events = trace.events
         for mark in marks:
-            closer = trace.events[mark - 1]
+            closer = events[mark - 1]
             assert closer[0] == PERM and closer[4] == int(Perm.NONE)
         assert marks == sorted(marks)
 

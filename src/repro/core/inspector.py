@@ -83,7 +83,9 @@ class TraceInspector:
         baselines: Dict[int, Dict[int, Perm]] = {}
         open_windows: Dict[int, Dict[int, int]] = {}  # tid -> dom -> count
 
-        for index, (kind, tid, _icount, a, b) in enumerate(trace.events):
+        kinds, tids, _, operand_a, operand_b = trace.columns.lists()
+        for index, (kind, tid, a, b) in enumerate(
+                zip(kinds, tids, operand_a, operand_b)):
             if kind == tr.ATTACH:
                 attached.add(a)
             elif kind == tr.DETACH:

@@ -8,6 +8,16 @@ mark snapshots, metrics).  The design splits per-event work into what is
 a pure function of the access stream and what depends on evolving
 protection state:
 
+* **Runs** — most accesses repeat the previous event's page and thread.
+  Such a *run tail* (:func:`run_tails`) hits the L1 TLB entry its
+  predecessor just touched, the most recently used of its set, and
+  nothing between them can change a permission; so every per-event loop
+  below visits only run heads and cold events, and a tail costs no
+  lookup.  Skipping a tail's LRU age bump keeps every set's order, and
+  its outcome follows from its head's: TLB level L1, and a violation
+  exactly when the head's effective permission is 0 (every access) or
+  1 (every store).
+
 * **Radiograph** — one classification pass over the trace packs every
   event into a one-byte code: memory access or not, store or not, TLB
   level (L1/L2/miss), cache level (L1/L2/DRAM/NVM), and whether the page
@@ -15,8 +25,10 @@ protection state:
   where a domain tags TLB entries only while it is attached.  The
   *cache* levels are a pure function of the access stream for **every**
   scheme (schemes never touch the caches); the *TLB* levels stay valid
-  for any scheme that never invalidates TLB entries.  The pass also
-  derives the per-event permission-check records ``domain_virt`` needs.
+  for any scheme that never invalidates TLB entries.  The pass walks
+  line heads — a tail that also repeats its predecessor's cache line
+  hits that L1 line, and its code is filled in with numpy — and derives
+  one permission-check record per page run for ``domain_virt``.
   Everything is cached on the trace's
   :class:`~repro.cpu.trace.TraceColumns`, so a sweep pays the pass once
   per trace and geometry.
@@ -36,19 +48,20 @@ protection state:
 * **Two walkers** replay what depends on protection state; neither adds
   a float.  The *stream walker* (``codes``: baseline, lowerbound;
   ``dv``: domain_virt) visits only the cold events and, for dv, the
-  radiograph's permission-check records — PTLB lookups with an inlined
-  pseudo-LRU touch, batched access charges, and the scheme's own
-  refill/writeback methods on misses.  The *live-TLB walker* (``mpk``:
-  mpk, mpk_virt, erim, pks_seal, poe2; ``swtable``: libmpk, dpti)
-  simulates the TLB against flat-array levels
-  (:class:`~repro.mem.tlb.ArrayTLBLevel`), because key remapping or
-  domain closing flushes entries.  Its permission check reads the
-  entry's tag — the pkey for a PKRU register read, the domain for the
-  scheme's ``_swtable_probe`` — memoised per (tag, thread) until the
-  next cold event or full TLB walk.  Every cold path (page walk, key
-  remap, SETPERM, context switch, attach/detach) calls the *real*
-  scheme methods, so charging and state transitions are the reference
-  code's own.
+  radiograph's run records — the head's PTLB lookup with an inlined
+  pseudo-LRU touch, one batched access charge per PTLB hit (the head's
+  and the tails'), and the scheme's own refill/writeback methods on
+  misses.  The *live-TLB walker* (``mpk``: mpk, mpk_virt, erim,
+  pks_seal, poe2; ``swtable``: libmpk, dpti) simulates the TLB against
+  flat-array levels (:class:`~repro.mem.tlb.ArrayTLBLevel`), because
+  key remapping or domain closing flushes entries; it visits the run
+  heads and cold events of a run table cached next to the radiograph.
+  Its permission check reads the entry's tag — the pkey for a PKRU
+  register read, the domain for the scheme's ``_swtable_probe`` —
+  memoised per (tag, thread) until the next cold event or full TLB
+  walk.  Every cold path (page walk, key remap, SETPERM, context switch,
+  attach/detach) calls the *real* scheme methods, so charging and state
+  transitions are the reference code's own.
 
 Which walker a scheme gets is decided by :func:`kernel_for` from the
 scheme's declared :class:`~repro.core.schemes.CostDescriptor` — the
@@ -81,6 +94,7 @@ reference interpreter, counted (``engine.fast_fallback``) and warned.
 from __future__ import annotations
 
 import warnings
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -236,6 +250,42 @@ def _cold_stream(columns: tr.TraceColumns) -> List[tuple]:
                 columns.operand_b[idx].tolist())]
 
 
+def run_tails(columns: tr.TraceColumns) -> Tuple[np.ndarray, np.ndarray]:
+    """Boolean masks of the trace's page-run tails and line-run tails.
+
+    A page-run tail is a LOAD or STORE whose previous event is a LOAD or
+    STORE on the same page (``a >> 12``) by the same thread; a line-run
+    tail also repeats that event's 64-byte line (``a >> 6``).  Every
+    other memory event heads a run — a FETCH always does, since it does
+    not probe — and a cold event ends one.
+    """
+    kinds = columns.kinds
+    n = len(kinds)
+    page = np.zeros(n, dtype=bool)
+    line = np.zeros(n, dtype=bool)
+    if n > 1:
+        a = columns.operand_a
+        access = kinds <= tr.STORE
+        # Two addresses share a page (line) iff their XOR is below its size.
+        apart = a[1:] ^ a[:-1]
+        np.logical_and(access[1:], access[:-1], out=page[1:])
+        page[1:] &= columns.tids[1:] == columns.tids[:-1]
+        page[1:] &= apart < 4096
+        np.logical_and(page[1:], apart < 64, out=line[1:])
+    return page, line
+
+
+def _run_table(columns: tr.TraceColumns) -> Tuple[list, ...]:
+    """The run heads and cold events — every event but the page-run
+    tails — in index order, as five lists: index, run end (the next
+    index; its tails lie between), kind, tid and operand ``a``."""
+    visits = np.flatnonzero(~run_tails(columns)[0])
+    index = visits.tolist()
+    return (index, index[1:] + [len(columns)], columns.kinds[visits].tolist(),
+            columns.tids[visits].tolist(),
+            columns.operand_a[visits].tolist())
+
+
 def _fold_cycles(icounts: np.ndarray, cpi, tlb_codes: np.ndarray,
                  tlb_pen: np.ndarray, codes: np.ndarray,
                  cache_pen: np.ndarray, out: np.ndarray, start: int,
@@ -352,10 +402,19 @@ class FastReplayEngine(ReplayEngine):
         DRAM/NVM classification) is reproducible across contexts rebuilt
         from the same trace.
 
-        Alongside the codes the pass derives, per event, the ``dv``
-        view: the domain tag ``domain_virt.fill_tags`` (DRT walk against
-        the attach/detach timeline) would put in each TLB entry, and the
-        resulting permission-check records.
+        Alongside the codes the pass derives the ``dv`` view: the domain
+        tag ``domain_virt.fill_tags`` (DRT walk against the attach/detach
+        timeline) would put in each TLB entry, and one permission-check
+        record per page run, ``(head, domain, page perm, head is a
+        store, tid, address, run end)`` — for a domainless run only when
+        some access in it breaks the page permission.
+
+        The loop visits line heads and cold events only
+        (:func:`run_tails`).  A line tail hits the L1 TLB slot and the
+        L1 cache line its predecessor just touched, the most recently
+        used of their sets, so skipping its age bumps keeps every LRU
+        order; its code is its head's PMO bits, ``_MEM`` and its own
+        ``_STORE``, filled in after the loop.
         """
         config = self.config
         tlb_cfg = config.tlb
@@ -397,17 +456,25 @@ class FastReplayEngine(ReplayEngine):
         pt_get = process.page_table.get
         find = process.address_space.find
 
-        kinds_l, tids_l, _, a_l, _ = columns.lists()
-        a_arr = columns.operand_a
-        vpn_l = (a_arr >> 12).tolist()
-        sub_l = ((a_arr >> 6) & 63).tolist()
-        codes = bytearray(len(kinds_l))
+        kinds = columns.kinds
+        n = len(kinds)
+        page_tail, line_tail = run_tails(columns)
+        visits = np.flatnonzero(~line_tail)
+        # Per visit, the end of the page run it heads (0: a page tail).
+        heads = ~page_tail[visits]
+        run_end = np.zeros(len(visits), dtype=np.int64)
+        run_end[heads] = np.append(visits[heads][1:], n)
+        a_arr = columns.operand_a[visits]
+        kinds_b = columns.replay_cache(("kinds_b",), kinds.tobytes)
+        codes = bytearray(n)
         attached: set = set()
         dv_checks: List[tuple] = []
-        i = -1
 
-        for k, tid, a, vpn, sub in zip(kinds_l, tids_l, a_l, vpn_l, sub_l):
-            i += 1
+        for i, k, tid, a, vpn, sub, end in zip(
+                visits.tolist(), kinds[visits].tolist(),
+                columns.tids[visits].tolist(), a_arr.tolist(),
+                (a_arr >> 12).tolist(), ((a_arr >> 6) & 63).tolist(),
+                run_end.tolist()):
             if k <= 1 or k == 7:
                 s = g1(vpn)
                 if s is not None:
@@ -472,14 +539,16 @@ class FastReplayEngine(ReplayEngine):
                 dv_dom = rec[3]
                 if dv_dom:
                     code |= _DV_PMO
-                    if k != 7:
-                        dv_checks.append((i, dv_dom, rec[2], k == 1, tid, a))
-                elif k != 7:
+                    if end and k != 7:
+                        dv_checks.append(
+                            (i, dv_dom, rec[2], k == 1, tid, a, end))
+                elif end and k != 7:
                     pperm = rec[2]
-                    if not (pperm == 2 if k == 1 else pperm != 0):
-                        # Page-permission violation on a domainless page —
-                        # the only way dv faults outside a domain.
-                        dv_checks.append((i, 0, pperm, k == 1, tid, a))
+                    if pperm == 0 or pperm == 1 and (
+                            k == 1 or kinds_b.find(b"\x01", i + 1, end) >= 0):
+                        # The run breaks the page permission — the only
+                        # way dv faults outside a domain.
+                        dv_checks.append((i, 0, pperm, k == 1, tid, a, end))
                 line = rec[5] | sub
                 cs = cg1(line)
                 if cs is not None:
@@ -543,7 +612,16 @@ class FastReplayEngine(ReplayEngine):
             else:  # pragma: no cover - malformed trace
                 raise SimulationError(f"unknown event kind {k}")
 
-        return np.frombuffer(codes, dtype=np.uint8), dv_checks
+        codes = np.frombuffer(codes, dtype=np.uint8)
+        if len(visits) < n:
+            # Line tails: the PMO bits of the visit they follow, _MEM and
+            # their own _STORE; TLB and cache level 0 (L1 hits).
+            carried = np.repeat(codes[visits] & (_PMO | _DV_PMO),
+                                np.diff(visits, append=n))
+            carried |= _MEM
+            carried |= (kinds == tr.STORE).view(np.uint8) << 7
+            codes = np.where(line_tail, carried, codes)
+        return codes, dv_checks
 
     # -- driver ---------------------------------------------------------------
 
@@ -577,6 +655,10 @@ class FastReplayEngine(ReplayEngine):
 
         kind = self._kernel_kind
         stream = kind in (_CODES, _DV)
+        # Run tails look their stores up here (bytes.find/count).
+        self._kinds_b = cache(("kinds_b",), columns.kinds.tobytes)
+        self._columns = columns
+        self._carry = None
         if stream:
             walk = self._walk_stream
             self._checks = dv_checks if kind == _DV else ()
@@ -584,7 +666,7 @@ class FastReplayEngine(ReplayEngine):
             tlb_codes = codes
         else:
             walk = self._walk_live
-            self._lists = columns.lists()
+            self._runs = cache(("runs",), lambda: _run_table(columns))
             self._tlev = bytearray(n)
             tlb_codes = np.frombuffer(self._tlev, dtype=np.uint8)
             if kind == _MPK:
@@ -732,6 +814,33 @@ class FastReplayEngine(ReplayEngine):
                 f"(domain {domain}, thread {tid})",
                 vaddr=a, domain=domain, thread=tid, is_write=is_write)
 
+    def _tails(self, q: int, lo: int, end: int, pm: int, domain: int,
+               tid: int) -> int:
+        """Check the run tails ``[lo, end)`` under their head's effective
+        permission ``pm``: with 0 every tail violates, with 1 every tail
+        store, with 2 none.  The check stops at the segment end ``q``; a
+        run that a mark cuts carries ``(end, pm, domain, tid)`` into the
+        next segment.  Counts the violations and returns the tails
+        checked — unless protection is enforced, when the first
+        violating tail raises instead (``_fault_at``)."""
+        if end > q:
+            self._carry = (end, pm, domain, tid)
+            end = q
+        if pm < 2:
+            kinds = self._kinds_b
+            if pm:
+                j = kinds.find(b"\x01", lo, end)
+                bad = 0 if j < 0 else kinds.count(b"\x01", j, end)
+            else:
+                j = lo
+                bad = end - lo
+            if bad:
+                if self.config.enforce_protection:
+                    self._violation(j, int(self._columns.operand_a[j]),
+                                    domain, tid, kinds[j] == tr.STORE)
+                self.stats.protection_faults += bad
+        return end - lo
+
     # -- stream walker (codes / dv) -------------------------------------------
 
     def _walk_stream(self, p: int, q: int, ci: int) -> int:
@@ -739,10 +848,13 @@ class FastReplayEngine(ReplayEngine):
         whose TLB levels the radiograph already holds.
 
         Visits the cold events and, for dv, the radiograph's check
-        records, in index order.  A dv check is a PTLB lookup with an
-        inlined pseudo-LRU touch; a miss calls the scheme's own refill.
+        records, in index order.  A record stands for one page run: its
+        head's PTLB lookup, with an inlined pseudo-LRU touch (a miss
+        calls the scheme's own refill), then one PTLB hit per tail.
         Hits are booked once, at the end of the segment; a stamp adds
-        the ones still pending.  Returns the advanced cold-event cursor.
+        the ones still pending.  A run that a mark cuts books its tails
+        before the mark here and carries the rest into the next
+        segment.  Returns the advanced cold-event cursor.
         """
         stats = self.stats
         scheme = self.scheme
@@ -757,14 +869,33 @@ class FastReplayEngine(ReplayEngine):
         # rebinds the slot list and PLRU bits; SETPERM rewrites entries).
         stale = True
         n_ph = 0
+
+        def tails(lo: int, end: int, pm: int, dom: int, tid: int) -> None:
+            """A run's tails up to the mark (:meth:`_tails`): one PTLB
+            hit each for a domain — through the faulting tail when one
+            raises."""
+            nonlocal n_ph
+            try:
+                checked = self._tails(q, lo, end, pm, dom, tid)
+            except ProtectionFault:
+                if dom:
+                    n_ph += self._fault_at + 1 - lo
+                raise
+            if dom:
+                n_ph += checked
+
         try:
+            carry = self._carry
+            if carry is not None:
+                self._carry = None
+                tails(p, *carry)
             while True:
                 ii = checks[cj][0] if cj < n_chk else q
                 jj = cold[ci][0] if ci < n_cold else q
                 if ii >= q and jj >= q:
                     break
                 if ii < jj:
-                    _, dom, pperm, w, tid, a = checks[cj]
+                    _, dom, pm, w, tid, a, end = checks[cj]
                     cj += 1
                     if dom:
                         if stale:
@@ -787,7 +918,7 @@ class FastReplayEngine(ReplayEngine):
                                 # PseudoLRU.touch writes absolute bit
                                 # values — idempotent per slot, so
                                 # repeats since the last state change
-                                # are free.
+                                # (and a run's tails) are free.
                                 ops = touch_ops[sl]
                                 o = 0
                                 n_ops = len(ops)
@@ -803,13 +934,12 @@ class FastReplayEngine(ReplayEngine):
                                 self._stamp(ii, stats.cycles + n_ph * acc)
                             dp = scheme._ptlb_refill(dom, tid).perm
                             lsl = -1
-                        pm = pperm if pperm <= dp else dp
-                        ok = pm == 2 if w else pm != 0
-                    else:
-                        # Recorded only when the page permission fails.
-                        ok = False
-                    if not ok:
+                        if dp < pm:
+                            pm = dp
+                    if not (pm == 2 if w else pm != 0):
                         self._violation(ii, a, dom, tid, w)
+                    if end - ii > 1:
+                        tails(ii + 1, end, pm, dom, tid)
                 else:
                     _, k, tid, a, b = cold[ci]
                     ci += 1
@@ -830,7 +960,8 @@ class FastReplayEngine(ReplayEngine):
     # -- live-TLB walker (mpk / swtable) --------------------------------------
 
     def _walk_live(self, p: int, q: int, ci: int) -> int:
-        """Replay events [p, q) against the live TLB.
+        """Replay events [p, q) against the live TLB, visiting run heads
+        and cold events only.
 
         L1 hits stay inline; L2 hits and full misses are recorded in
         the walk's TLB levels for the fold.  The permission check reads
@@ -838,13 +969,30 @@ class FastReplayEngine(ReplayEngine):
         ``_probe``, memoised per (tag, thread) until anything runs that
         can rewrite scheme metadata — a cold event or a full TLB walk
         (``fill_tags`` may remap keys or evict a domain's mapping).
-        Returns the advanced cold-event cursor.
+        A run's tails hit the L1 entry their head just touched and keep
+        TLB level 0; they check against the head's effective permission
+        (:meth:`_tails`).  A run that a mark cuts checks its tails
+        before the mark here and carries the rest into the next
+        segment, as the stream walker does.  Returns the advanced
+        cold-event cursor.
         """
+        tlev = self._tlev
+        q = min(q, len(tlev))
+        if p >= q:
+            return ci
+        carry = self._carry
+        if carry is not None:
+            self._carry = None
+            self._tails(q, p, *carry)
+        runs = self._runs
+        lo = bisect_left(runs[0], p)
+        hi = bisect_left(runs[0], q)
+        if lo or hi < len(runs[0]):
+            runs = [col[lo:hi] for col in runs]
+
         stats = self.stats
         ev = self._ev
-        k_l, t_l, _, a_l, _ = self._lists
         cold = self._cold
-        tlev = self._tlev
         field = self._tag_field
         probe = self._probe
 
@@ -863,13 +1011,8 @@ class FastReplayEngine(ReplayEngine):
         ltid = -1
         lperm = 0
 
-        if p == 0 and q == len(k_l):
-            seq = zip(range(q), k_l, t_l, a_l)
-        else:
-            seq = zip(range(p, q), k_l[p:q], t_l[p:q], a_l[p:q])
-
         try:
-            for i, k, tid, a in seq:
+            for i, e, k, tid, a in zip(*runs):
                 if k <= 1 or k == 7:
                     vpn = a >> 12
                     s = g1(vpn)
@@ -911,6 +1054,8 @@ class FastReplayEngine(ReplayEngine):
                                 pm = lperm
                         if not (pm == 2 if k == 1 else pm != 0):
                             self._violation(i, a, rec[4], tid, k == 1)
+                        if e - i > 1 and pm < 2:
+                            self._tails(q, i + 1, e, pm, rec[4], tid)
                 else:
                     ci += 1
                     if ev is not None:

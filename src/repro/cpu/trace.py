@@ -83,9 +83,10 @@ class TraceColumns:
     ``operand_a`` (uint64) and ``operand_b`` (uint64) — exactly the
     arrays the .npz trace format stores (``docs/TRACE_FORMAT.md``), so a
     loaded trace hands them over without building a tuple per event.
-    The fast replay engine iterates plain-int list views of the columns
-    (:meth:`lists`) and memoizes derived per-config data (penalty
-    columns, access radiographs) in :meth:`replay_cache`.
+    The inspection tools and traced replays read plain-int list views of
+    the columns (:meth:`lists`); the fast replay engine memoizes derived
+    data (access radiographs, run tables, cycle folds) in
+    :meth:`replay_cache`.
     """
 
     __slots__ = ("kinds", "tids", "icounts", "operand_a", "operand_b",
@@ -224,8 +225,7 @@ class Trace:
 
     ``.columns`` is the one representation: the fast replay engine, the
     trace writer and the service layer read it directly.  ``.events``
-    is a row-tuple view built on demand for the reference interpreter
-    and the inspection tools.
+    is a row-tuple view built on demand for the reference interpreter.
     """
 
     def __init__(self, columns: TraceColumns,

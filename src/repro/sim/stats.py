@@ -7,9 +7,11 @@ harness can reproduce the paper's overhead breakdown:
 * ``entry_changes``    — DTTLB/PTLB add/remove/modify micro-ops
 * ``dtt_misses``       — DTT walks on DTTLB misses (MPK virtualization)
 * ``ptlb_misses``      — permission-table lookups on PTLB misses (DV)
-* ``tlb_invalidations``— key-remap TLB shootdowns *and* the re-walk cost
-                         of the TLB entries they killed (the paper charges
-                         subsequent misses to invalidations too)
+* ``tlb_invalidations``— key-remap TLB shootdown broadcasts (per thread).
+                         The re-walks of the TLB entries they killed are
+                         not charged here: they land in the machine
+                         cycles as TLB L2-hit and miss penalties (the
+                         paper's Table VII counts them as invalidations)
 * ``access_latency``   — PTLB lookup added to every domain access (DV)
 * ``libmpk``           — exception + syscalls + PTE rewrites (libmpk only)
 """

@@ -17,6 +17,7 @@ import numpy as np
 
 from ..core.inspector import TraceInspector
 from ..cpu import trace as tr
+from ..cpu.fast_timing import run_tails
 from ..cpu.tracefile import load_trace
 from ..permissions import Perm
 
@@ -40,6 +41,13 @@ def summarize(trace: tr.Trace) -> str:
     acting = np.isin(columns.kinds, (tr.LOAD, tr.STORE, tr.PERM))
     threads = np.unique(columns.tids[acting]).tolist()
     lines.append(f"threads             : {threads}")
+    # The run tails the replay engine skips (docs/PERFORMANCE.md).
+    memory = accesses + counts.get("fetch", 0)
+    for name, tails in zip(("page", "line"), run_tails(columns)):
+        n_tails = int(np.count_nonzero(tails))
+        lines.append(f"{name}-run tails      : {n_tails:,} of {memory:,} "
+                     "memory events"
+                     + (f" ({n_tails / memory:.1%})" if memory else ""))
     return "\n".join(lines)
 
 

@@ -12,21 +12,28 @@ and, with event tracing on, every record the two engines emit.
 
 import dataclasses
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.schemes import scheme_by_name
-from repro.cpu.fast_timing import FastReplayEngine, make_replay_engine
+from repro.cpu.fast_timing import (FastReplayEngine, make_replay_engine,
+                                   run_tails)
 from repro.cpu.timing import ReplayEngine
 from repro.engine.context import ReplayContext, replay_one
 from repro.errors import PkeyError, ProtectionFault
+from repro.permissions import Perm
 from repro.sim.config import DEFAULT_CONFIG, apply_override
 from repro.sim.stats import RunStats
-from repro.workloads.base import Workspace
+from repro.workloads.base import UnprotectedPolicy, Workspace
 from repro.workloads.micro import MicroParams, generate_micro_trace
 
 SCHEMES = ("baseline", "lowerbound", "mpk", "mpk_virt", "libmpk",
            "domain_virt", "erim", "pks_seal", "dpti", "poe2")
+#: The schemes whose permission checks can fail.
+ENFORCING = tuple(s for s in SCHEMES if s not in ("baseline", "lowerbound"))
 
 #: Hard-limited schemes that cannot attach one key per tenant at the
 #: service trace's scale — the wall is the paper's point, so they are
@@ -101,6 +108,25 @@ def violating_trace():
     return ws.finish()
 
 
+def one_page_trace(accesses, window, *, intent=Perm.RW):
+    """``accesses`` — ``(kind, offset)`` pairs — on one page of a PMO
+    attached with page permission ``intent``, after a SETPERM that
+    opens the domain to ``window`` (none when ``window`` is None)."""
+    ws = Workspace(UnprotectedPolicy(), seed=6)
+    pool = ws.create_and_attach("page", 1 << 20, intent=intent)
+    with ws.untraced():
+        oid = pool.pool.pmalloc(4096, align=4096)
+        # Map the page while recording, as a generated trace's pages are.
+        ws.mem.write_bytes(oid, 0, bytes(8))
+    base = pool.va_of(oid)
+    recorder = ws.recorder
+    if window is not None:
+        recorder.perm(ws.tid, pool.domain, window)
+    for kind, offset in accesses:
+        getattr(recorder, kind)(ws.tid, base + offset)
+    return ws.finish()
+
+
 def _engine(engine_class, trace, scheme, config=DEFAULT_CONFIG):
     """An engine of ``engine_class`` over a fresh context of ``trace``."""
     context = ReplayContext.from_trace(trace)
@@ -115,6 +141,38 @@ def _replay_both(trace, scheme, *, marks=None, config=DEFAULT_CONFIG):
     ref = _engine(ReplayEngine, trace, scheme, config).run(trace, marks=marks)
     fast = replay_one(trace, scheme, config, marks=marks)
     return ref, fast
+
+
+def _outcome(engine_class, trace, scheme, config, marks):
+    """One replay's RunStats (floats as repr), the error it raised with
+    a fault's fields, and its TLB/cache level counters — the aborted
+    prefix's, when the replay faulted."""
+    engine = _engine(engine_class, trace, scheme, config)
+    error = None
+    try:
+        engine.run(trace, marks=marks)
+    except (PkeyError, ProtectionFault) as exc:
+        error = (type(exc), str(exc),
+                 *(getattr(exc, attr, None)
+                   for attr in ("vaddr", "domain", "thread", "is_write")))
+    stats = engine.stats
+    return (repr(stats.cycles),
+            {k: repr(v) for k, v in stats.buckets.items()},
+            [repr(c) for c in stats.mark_cycles or ()],
+            dataclasses.asdict(stats), error,
+            TestProtectionFaultParity._level_counters(engine))
+
+
+def _enforcing(enforce):
+    """The default config with protection enforced or not."""
+    return DEFAULT_CONFIG.with_overrides(enforce_protection=enforce)
+
+
+def _assert_same_outcome(trace, scheme, *, marks=None,
+                         config=DEFAULT_CONFIG):
+    ref = _outcome(ReplayEngine, trace, scheme, config, marks)
+    fast = _outcome(FastReplayEngine, trace, scheme, config, marks)
+    assert ref == fast
 
 
 def _assert_identical(ref, fast):
@@ -436,3 +494,115 @@ class TestEventParity:
                   if record["kind"] == "pt_walk"]
         assert len(stamps) == stats.ptlb_misses_count > 0
         assert len(set(stamps)) == len(stamps)
+
+
+#: fetch->load, load->fetch, fetch->fetch and store->fetch on one line.
+FETCH_MIX = (("fetch", 0), ("load", 8), ("load", 16), ("fetch", 24),
+             ("fetch", 32), ("store", 40), ("fetch", 48), ("store", 56),
+             ("load", 56))
+
+#: One page run on a read-only page: loads on one line and the next,
+#: then stores, a load, and a store on a third line.
+READ_ONLY_RUN = (("load", 0), ("load", 8), ("load", 64), ("load", 72),
+                 ("store", 80), ("store", 16), ("load", 24),
+                 ("store", 128))
+
+
+class TestFetchRuns:
+    """A FETCH does not probe, so it heads a run of its own and the
+    access after it heads the next one."""
+
+    def test_every_fetch_is_a_head(self):
+        trace = one_page_trace(FETCH_MIX, Perm.RW)
+        page, line = run_tails(trace.columns)
+        # ATTACH, PERM, then FETCH_MIX: only load 16 (after load 8) and
+        # load 56 (after store 56) repeat an access's page and line.
+        assert np.flatnonzero(page).tolist() == [4, 10]
+        assert np.flatnonzero(line).tolist() == [4, 10]
+
+    @pytest.mark.parametrize("enforce", (True, False))
+    @pytest.mark.parametrize("window", (Perm.NONE, Perm.R, Perm.RW))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_fetch_mix_matches_reference(self, scheme, window, enforce):
+        _assert_same_outcome(one_page_trace(FETCH_MIX, window), scheme,
+                             config=_enforcing(enforce))
+
+
+#: Mark sets over an ``n``-event trace: none, one or two marks that cut
+#: the run of ``one_page_trace(READ_ONLY_RUN, ...)``, and every index.
+CUTS = {"none": lambda n: None, "one": lambda n: [5],
+        "two": lambda n: [4, 7], "every": lambda n: list(range(n + 1))}
+
+
+class TestTailFaults:
+    """Faults on run tails: a read-only page sees loads, then stores,
+    inside one run, with the domain opened read-write, read-only or
+    not at all.  Marks cut the run once, twice or at every event."""
+
+    @pytest.mark.parametrize("cut", CUTS)
+    @pytest.mark.parametrize("enforce", (True, False))
+    @pytest.mark.parametrize("window", (Perm.RW, Perm.R, Perm.NONE))
+    @pytest.mark.parametrize("scheme", ENFORCING)
+    def test_matches_reference(self, scheme, window, enforce, cut):
+        trace = one_page_trace(READ_ONLY_RUN, window, intent=Perm.R)
+        assert run_tails(trace.columns)[0][3:].all()  # one run
+        _assert_same_outcome(trace, scheme, marks=CUTS[cut](len(trace)),
+                             config=_enforcing(enforce))
+
+    @pytest.mark.parametrize("cut", CUTS)
+    @pytest.mark.parametrize("enforce", (True, False))
+    def test_domainless_dv_run(self, enforce, cut):
+        # Touched before its ATTACH, the page carries no domain in
+        # domain_virt's TLB view: the run checks the page permission
+        # alone, and gets a check record because its stores break it.
+        trace = one_page_trace(READ_ONLY_RUN, None, intent=Perm.R)
+        n = len(trace)
+        trace = trace.subset(np.r_[1:n, 0])
+        _assert_same_outcome(trace, "domain_virt", marks=CUTS[cut](n),
+                             config=_enforcing(enforce))
+
+
+def _marks(data, trace):
+    """Ascending marks over ``trace``, about half of them on run tails."""
+    n = len(trace)
+    tails = np.flatnonzero(run_tails(trace.columns)[0]).tolist()
+    index = st.one_of(st.integers(0, n), st.sampled_from(tails))
+    return sorted(data.draw(st.lists(index, max_size=24)))
+
+
+class TestRandomMarks:
+    """Marks anywhere, inside runs included, on a served trace, on a
+    64-pool micro trace and on random runs over a read-only page, with
+    protection enforced and not."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), scheme=st.sampled_from(SCHEMES),
+           enforce=st.booleans())
+    def test_served_trace(self, storm_trace, data, scheme, enforce):
+        _assert_same_outcome(storm_trace, scheme,
+                             marks=_marks(data, storm_trace),
+                             config=_enforcing(enforce))
+
+    @settings(max_examples=20, deadline=None)
+    @given(data=st.data(), scheme=st.sampled_from(SCHEMES),
+           enforce=st.booleans())
+    def test_wide_avl_trace(self, wide_avl_trace, data, scheme, enforce):
+        _assert_same_outcome(wide_avl_trace, scheme,
+                             marks=_marks(data, wide_avl_trace),
+                             config=_enforcing(enforce))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), scheme=st.sampled_from(ENFORCING),
+           window=st.sampled_from((Perm.RW, Perm.R, Perm.NONE)),
+           enforce=st.booleans())
+    def test_read_only_runs(self, data, scheme, window, enforce):
+        # Loads, stores and fetches over four lines of one read-only
+        # page: runs of every length, cut anywhere, with violating tails.
+        access = st.tuples(st.sampled_from(("load", "store", "fetch")),
+                           st.integers(0, 31).map(lambda w: 8 * w))
+        accesses = data.draw(st.lists(access, min_size=1, max_size=16))
+        trace = one_page_trace(accesses, window, intent=Perm.R)
+        marks = sorted(data.draw(st.lists(st.integers(0, len(trace)),
+                                          max_size=6)))
+        _assert_same_outcome(trace, scheme, marks=marks,
+                             config=_enforcing(enforce))

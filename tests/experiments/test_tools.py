@@ -25,6 +25,31 @@ class TestSummary:
         assert "attached domains    : 4" in out
 
 
+    def test_reports_exact_run_shares(self, tmp_path, capsys):
+        from repro.cpu.trace import TraceRecorder
+        from repro.os.address_space import VMA
+        from repro.permissions import Perm
+        base = 0x2000_0000_0000
+        rec = TraceRecorder()
+        rec.attach(1, VMA(base=base, reserved=1 << 30, size=8 << 20,
+                          pmo_id=1, granule=1 << 30, is_nvm=True), Perm.RW)
+        rec.load(1, base)             # head
+        rec.load(1, base + 8)         # page and line tail
+        rec.store(1, base + 64)       # page tail on a new line
+        rec.load(2, base + 72)        # another thread: head
+        rec.fetch(2, base + 72)       # a fetch is always a head
+        rec.load(2, base + 72)        # so is the access after it
+        rec.perm(2, 1, Perm.R)
+        rec.load(2, base + 72)        # after a cold event: head
+        rec.load(2, base + 4096)      # another page: head
+        path = tmp_path / "runs.npz"
+        save_trace(rec.finish(), path)
+        assert main(["summary", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "page-run tails      : 2 of 8 memory events (25.0%)" in out
+        assert "line-run tails      : 1 of 8 memory events (12.5%)" in out
+
+
 class TestEvents:
     def test_dumps_limited_events(self, trace_path, capsys):
         assert main(["events", trace_path, "--limit", "5"]) == 0

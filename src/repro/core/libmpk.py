@@ -136,9 +136,10 @@ class LibmpkScheme(ProtectionScheme):
     def _swtable_probe(self, domain: int, tid: int) -> Perm:
         """The access-path software permission lookup (check="swtable").
 
-        Both engines consult this: the reference interpreter through
-        :meth:`check_access`, the fast swtable kernel directly (memoised
-        per (domain, tid) between metadata mutations).
+        The replay engine's swtable kernel consults this directly
+        (memoised per (domain, tid) between metadata mutations);
+        :meth:`check_access`, the reference interpreter's probe, goes
+        through it too.
         """
         if domain not in self._key_of:
             # TLB entries of unmapped domains were shot down; reaching

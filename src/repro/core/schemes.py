@@ -1,7 +1,7 @@
 """Protection-scheme framework: the hooks the replay engine drives.
 
 A scheme models one of the paper's evaluated mechanisms.  The replay
-engine (``repro.cpu.timing``) calls:
+engine (``repro.cpu.fast_timing``) calls:
 
 * :meth:`attach_domain` / :meth:`detach_domain` when the trace records an
   attach/detach system call (setup, not charged);
@@ -12,7 +12,10 @@ engine (``repro.cpu.timing``) calls:
   DTTLB and may remap keys;
 * :meth:`check_access` on every load/store, with the TLB entry's tags —
   this is where DV pays its PTLB lookup and every scheme enforces the
-  strictest of page and domain permission;
+  strictest of page and domain permission.  The engine's kernels
+  replay this check from the scheme's descriptor (its PTLB, PKRU or
+  ``_swtable_probe``); the hook itself is the probe of the test
+  suite's reference interpreter;
 * :meth:`context_switch` when the scheduler swaps threads.
 
 Schemes charge their extra cycles directly into the RunStats buckets, so
@@ -48,8 +51,8 @@ class CostDescriptor:
     """What a protection scheme *costs*, declared rather than inferred.
 
     Every consumer that used to pattern-match on scheme classes reads
-    this instead: the fast engine picks a kernel family from
-    ``check``/``invalidates_tlb`` (``repro.cpu.fast_timing.kernel_for``),
+    this instead: the replay engine picks a kernel family from
+    ``check`` (``repro.cpu.fast_timing.kernel_for``),
     multicore replay attributes cross-core shootdown slices only to
     schemes with ``broadcast_shootdown``, and the serving layer derives
     which schemes are *fragile* — hard-collapse past their key space —
@@ -89,8 +92,9 @@ class CostDescriptor:
     broadcast_shootdown: bool = False
     consults_ptlb: bool = False
     consults_dttlb: bool = False
-    #: Whether any hook ever invalidates TLB entries; when False the
-    #: fast engine may replay the baseline-pure TLB radiograph.
+    #: Whether any hook ever invalidates TLB entries.  A ``page`` or
+    #: ``ptlb`` check must leave it False: their kernels replay the
+    #: baseline-pure TLB radiograph.
     invalidates_tlb: bool = False
 
     def __post_init__(self):
@@ -109,6 +113,10 @@ class CostDescriptor:
         if self.broadcast_shootdown and not self.invalidates_tlb:
             raise ValueError("a scheme cannot broadcast shootdowns "
                              "without invalidating TLB entries")
+        if self.invalidates_tlb and self.check in ("page", "ptlb"):
+            raise ValueError(
+                f"check={self.check!r} replays the baseline TLB radiograph "
+                f"and cannot invalidate TLB entries")
 
     @property
     def hard_domain_limit(self) -> Optional[int]:

@@ -1,10 +1,12 @@
-"""Array-backed fast replay engine — bit-identical to ``timing.ReplayEngine``.
+"""The replay engine: array-backed, and bit-identical to the reference.
 
-The reference interpreter in :mod:`repro.cpu.timing` walks Python event
-tuples and dict/OrderedDict TLB and cache models.  This module replays
-the same traces several times faster while producing **bit-identical**
-:class:`~repro.sim.stats.RunStats` (cycles, every bucket, every counter,
-mark snapshots, metrics).  The design splits per-event work into what is
+:class:`FastReplayEngine` replays every run.  The test suite keeps the
+reference interpreter (``tests/oracle.py``), which walks Python event
+tuples through dict/OrderedDict TLB and cache models; this engine
+replays the same traces several times faster while producing
+**bit-identical** :class:`~repro.sim.stats.RunStats` (cycles, every
+bucket, every counter, mark snapshots, metrics).  The design splits
+per-event work into what is
 a pure function of the access stream and what depends on evolving
 protection state:
 
@@ -49,11 +51,11 @@ protection state:
   a float.  The *stream walker* (``codes``: baseline, lowerbound;
   ``dv``: domain_virt) visits only the cold events and, for dv, the
   radiograph's run records — the head's PTLB lookup with an inlined
-  pseudo-LRU touch, one batched access charge per PTLB hit (the head's
-  and the tails'), and the scheme's own refill/writeback methods on
-  misses.  The *live-TLB walker* (``mpk``: mpk, mpk_virt, erim,
-  pks_seal, poe2; ``swtable``: libmpk, dpti) simulates the TLB against
-  flat-array levels (:class:`~repro.mem.tlb.ArrayTLBLevel`), because
+  pseudo-LRU touch, one access charge per PTLB hit (the head's and the
+  tails'), and the scheme's own refill/writeback methods on misses.
+  The *live-TLB walker* (``mpk``: mpk, mpk_virt, erim, pks_seal, poe2;
+  ``swtable``: libmpk, dpti) simulates the TLB against its flat-array
+  levels (:class:`~repro.mem.tlb.TLBLevel`), because
   key remapping or domain closing flushes entries; it visits the run
   heads and cold events of a run table cached next to the radiograph.
   Its permission check reads the entry's tag — the pkey for a PKRU
@@ -64,15 +66,18 @@ protection state:
   transitions are the reference code's own.
 
 Which walker a scheme gets is decided by :func:`kernel_for` from the
-scheme's declared :class:`~repro.core.schemes.CostDescriptor` — the
-``check`` kind picks the family, ``invalidates_tlb`` decides whether
-the radiograph TLB levels may be replayed — not by matching scheme
-classes, so a new scheme that declares its cost model correctly is fast
-from its first replay.
+``check`` kind of the scheme's declared
+:class:`~repro.core.schemes.CostDescriptor` — not by matching scheme
+classes, so a new scheme that declares its cost model correctly replays
+from its first run.  The descriptor refuses a ``page`` or ``ptlb``
+check on a scheme that invalidates TLB entries (the radiograph's TLB
+levels would not be its own), and the engine refuses a scheme with no
+descriptor, by name.
 
-Scheme charges are integers, so a walker batches ``n`` identical
-charges as ``n*c`` (exact in a float accumulator); a config whose
-charges are not all integers gets no ``dv`` kernel.  Event counters
+While every charge ``DomainVirtScheme.charge_cycles`` lists is an
+integer, the dv walker batches ``n`` PTLB hits as one ``n*c`` (exact in
+a float accumulator, in any grouping); otherwise it books each check
+record's hits one by one, before anything else can charge.  Event counters
 (loads/stores/PMO accesses, TLB and cache hits/misses) are credited
 from the event codes over exactly the events the replay reached: the
 whole trace, or, when an enforced :class:`~repro.errors.ProtectionFault`
@@ -81,35 +86,29 @@ load/store/PMO counts included, its cache access not, in the
 reference's order.
 
 With event tracing on, the engine emits the reference's records through
-the hooks both engines share, stamped by the reference's rule
-(:mod:`repro.cpu.timing`) with ``fold[i]`` as the machine cycles before
+the hooks of :class:`~repro.cpu.timing.ReplayEngine`, stamped by the
+rule documented there with ``fold[i]`` as the machine cycles before
 event ``i``; the dv walker adds the hit charges it has not booked yet.
 A live-TLB walk extends its fold on demand up to the event it stamps.
-
-:func:`make_replay_engine` builds this engine for every scheme whose
-descriptor a kernel family covers; any other replays through the
-reference interpreter, counted (``engine.fast_fallback``) and warned.
 """
 
 from __future__ import annotations
 
-import warnings
+import copy
 from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from .. import obs
 from ..permissions import Perm
 from ..core.schemes import ProtectionScheme
 from ..errors import ProtectionFault, SimulationError
-from ..mem.cache import ArrayCacheHierarchy, ArrayCacheLevel
+from ..mem.cache import CacheLevel
 from ..mem.memory import NVM_FRAME_BASE
-from ..mem.tlb import ArrayTLBLevel, ArrayTwoLevelTLB
+from ..mem.tlb import TLBLevel
 from ..os.kernel import Kernel
 from ..os.process import Process
 from ..sim.config import SimConfig
-from ..sim.stats import RunStats
 from . import trace as tr
 from .timing import ReplayEngine
 
@@ -152,85 +151,35 @@ _CACHE_TALLY = slice(6, 9)
 #: Events per chunk of the cycle fold (three float64 addends each).
 _FOLD_CHUNK = 1 << 16
 
-#: Schemes already warned about falling back to the reference
-#: interpreter (one warning per scheme name per process).
-_warned_fallback: set = set()
+#: CostDescriptor.check -> kernel family.
+_FAMILIES = {"page": _CODES, "ptlb": _DV, "pkru": _MPK, "swtable": _SWTABLE}
 
 
 def kernel_for(config: SimConfig,
                scheme_class: Type[ProtectionScheme]) -> Optional[str]:
-    """The kernel family for a scheme's declared cost model.
+    """The kernel family for a scheme's declared cost model, looked up
+    on its :class:`~repro.core.schemes.CostDescriptor`'s ``check``:
 
-    Derived from the scheme's :class:`~repro.core.schemes.CostDescriptor`
-    — the capability dispatch replacing the old class-identity table:
-
-    * free page checks, TLB never invalidated      → codes (stream walker)
-    * PTLB consultation, TLB never invalidated      → dv (stream walker;
-      integer ``charge_cycles`` only — hits are booked as one ``n*c``)
-    * PKRU-register checks                          → mpk (live-TLB walker)
-    * software-table checks (``_swtable_probe``)    → swtable (live-TLB
+    * free page checks                         → codes (stream walker)
+    * PTLB consultation                        → dv (stream walker)
+    * PKRU-register checks                     → mpk (live-TLB walker)
+    * software-table checks (``_swtable_probe``) → swtable (live-TLB
       walker)
 
-    Returns ``None`` when no family covers the descriptor/config pair
-    (the caller falls back to the reference interpreter).
+    The descriptor itself rules out the pairs no family covers (a
+    ``page`` or ``ptlb`` check on a scheme that invalidates TLB
+    entries), and no config changes the family.  Returns ``None`` for a
+    scheme without a descriptor, which :class:`FastReplayEngine`
+    refuses.
     """
     desc = getattr(scheme_class, "cost", None)
-    if desc is None:
-        return None
-    if desc.check == "page":
-        return _CODES if not desc.invalidates_tlb else None
-    if desc.check == "ptlb":
-        # The walker books a segment's PTLB hits as one n*c after the
-        # refill, writeback and SETPERM charges made meanwhile; that
-        # reordering is exact only while every charge is an integer.
-        exact = all(isinstance(c, int)
-                    for c in scheme_class.charge_cycles(config))
-        return _DV if exact and not desc.invalidates_tlb else None
-    if desc.check == "pkru":
-        return _MPK
-    if desc.check == "swtable":
-        return _SWTABLE
-    return None
+    return None if desc is None else _FAMILIES[desc.check]
 
 
 def supports_fast_replay(config: SimConfig,
                          scheme_class: Type[ProtectionScheme]) -> bool:
-    """Whether the fast engine covers this scheme/config pair."""
+    """Whether the engine can replay this scheme/config pair."""
     return kernel_for(config, scheme_class) is not None
-
-
-def _note_fast_fallback(scheme_class: Type[ProtectionScheme]) -> None:
-    """A fast-eligible replay fell back to the reference interpreter.
-
-    Bumps the ``engine.fast_fallback`` counter (when metrics are on)
-    and warns once per scheme — a 10x slowdown should never be silent.
-    """
-    registry = obs.metrics()
-    if registry is not None:
-        registry.counter("engine.fast_fallback").inc()
-    name = getattr(scheme_class, "name", scheme_class.__name__)
-    if name not in _warned_fallback:
-        _warned_fallback.add(name)
-        warnings.warn(
-            f"scheme {name!r} has no fast-replay kernel for this "
-            f"configuration; replaying through the reference interpreter "
-            f"(~10x slower). Declare a CostDescriptor the fast engine "
-            f"covers.",
-            RuntimeWarning, stacklevel=3)
-
-
-def make_replay_engine(config: SimConfig, kernel: Kernel, process: Process,
-                       scheme_class: Type[ProtectionScheme], *,
-                       attach_info: Optional[Dict[int, Tuple]] = None,
-                       n_cores: int = 1) -> ReplayEngine:
-    """The fast engine when a kernel family covers the scheme and config,
-    else the reference interpreter (counted and warned)."""
-    if supports_fast_replay(config, scheme_class):
-        return FastReplayEngine(config, kernel, process, scheme_class,
-                                attach_info=attach_info, n_cores=n_cores)
-    _note_fast_fallback(scheme_class)
-    return ReplayEngine(config, kernel, process, scheme_class,
-                        attach_info=attach_info, n_cores=n_cores)
 
 
 def _cold_stream(columns: tr.TraceColumns) -> List[tuple]:
@@ -318,40 +267,47 @@ def _fold_cycles(icounts: np.ndarray, cpi, tlb_codes: np.ndarray,
 class FastReplayEngine(ReplayEngine):
     """Replays one trace under one protection scheme — fast and exact.
 
-    Construct through :func:`make_replay_engine`; direct construction is
-    fine in tests but assumes the scheme's descriptor maps to a kernel
-    family (:func:`kernel_for`).
+    Every scheme that declares a
+    :class:`~repro.core.schemes.CostDescriptor` gets a kernel family
+    (:func:`kernel_for`); a scheme without one is refused here, by name.
     """
-
-    tlb_class = ArrayTwoLevelTLB
-    cache_class = ArrayCacheHierarchy
 
     def __init__(self, config: SimConfig, kernel: Kernel, process: Process,
                  scheme_class: Type[ProtectionScheme], *,
                  attach_info: Optional[Dict[int, Tuple]] = None,
                  n_cores: int = 1):
-        super().__init__(config, kernel, process, scheme_class,
-                         attach_info=attach_info, n_cores=n_cores)
         self._kernel_kind = kernel_for(config, scheme_class)
         if self._kernel_kind is None:
             raise ValueError(
-                f"fast replay does not support scheme class {scheme_class!r}")
+                f"scheme {getattr(scheme_class, 'name', scheme_class)!r} "
+                f"declares no CostDescriptor; the replay engine picks its "
+                f"kernel from the descriptor")
+        super().__init__(config, kernel, process, scheme_class,
+                         attach_info=attach_info, n_cores=n_cores)
         cache_cfg = config.cache
         overlap = config.processor.stall_overlap
         l1 = cache_cfg.l1_latency
         # Exact reference arithmetic: latency sums are formed first (all
-        # ints), then the subtraction, then one multiply — the same
-        # parenthesisation CacheHierarchy.access + timing._replay use.
+        # ints), then the subtraction, then one multiply — the reference
+        # interpreter's parenthesisation.
         self._pen_zero = (l1 - l1) * overlap
         self._pen_l2 = (l1 + cache_cfg.l2_latency - l1) * overlap
         self._dram_pen = (l1 + cache_cfg.l2_latency
                           + config.memory.dram_latency - l1) * overlap
         self._nvm_pen = (l1 + cache_cfg.l2_latency
                          + config.memory.nvm_latency - l1) * overlap
-        #: The dv walker's per-hit PTLB charge (booked as one n*c).
-        self._access_cycles = getattr(
-            config, scheme_class.config_section).ptlb_access_cycles \
-            if self._kernel_kind == _DV else 0
+        #: The dv walker's per-hit PTLB charge, and whether it books
+        #: each hit on its own: batching hits as one n*c after the
+        #: charges made meanwhile is exact only while every charge is an
+        #: integer.
+        self._access_cycles = 0
+        self._per_hit = False
+        if self._kernel_kind == _DV:
+            self._access_cycles = getattr(
+                config, scheme_class.config_section).ptlb_access_cycles
+            self._per_hit = not all(
+                isinstance(c, int)
+                for c in scheme_class.charge_cycles(config))
         #: vpn -> VMA memo for the TLB-walk path (the address space does
         #: not change during a replay).
         self._vma_of_vpn: Dict[int, object] = {}
@@ -361,8 +317,10 @@ class FastReplayEngine(ReplayEngine):
     def _tlb_miss(self, vpn: int, a: int, tid: int) -> tuple:
         """Full TLB miss: page walk (+fault), tag fill, install both levels.
 
-        Mirrors the reference order: the walk follows the miss, the
-        scheme supplies the tags, then both levels are filled.
+        Mirrors the reference order: the walk follows the miss (an
+        unmapped page faults into the engine's process here, in trace
+        order), the scheme supplies the tags, then both levels are
+        filled.
         """
         process = self.process
         pte = process.page_table.get(vpn)
@@ -396,11 +354,14 @@ class FastReplayEngine(ReplayEngine):
         function of the access stream; the cache half is valid for every
         scheme (nothing ever invalidates cache lines), the TLB half for
         any scheme that never invalidates TLB entries (baseline,
-        lowerbound, domain_virt).  Page faults are taken against this
-        engine's process, exactly as the reference interpreter would;
-        fault order is trace-determined, so frame assignment (and hence
-        DRAM/NVM classification) is reproducible across contexts rebuilt
-        from the same trace.
+        lowerbound, domain_virt).  Page faults are taken in trace order
+        against a copy of the kernel's frame allocator and a private
+        page map, so each page gets the frame (and hence the DRAM/NVM
+        class and cache sets) that the engine's process gives it when
+        it faults the page in itself, at its first access, as the
+        reference does.  Faulting into that process here would map
+        pages ahead of the walk, where libmpk's ``pkey_mprotect``
+        counts the PTEs mapped so far.
 
         Alongside the codes the pass derives the ``dv`` view: the domain
         tag ``domain_virt.fill_tags`` (DRT walk against the attach/detach
@@ -419,12 +380,12 @@ class FastReplayEngine(ReplayEngine):
         config = self.config
         tlb_cfg = config.tlb
         cache_cfg = config.cache
-        tl1 = ArrayTLBLevel(tlb_cfg.l1_entries, tlb_cfg.l1_ways)
-        tl2 = ArrayTLBLevel(tlb_cfg.l2_entries, tlb_cfg.l2_ways)
-        cl1 = ArrayCacheLevel(cache_cfg.l1_size, cache_cfg.l1_ways,
-                              latency=cache_cfg.l1_latency)
-        cl2 = ArrayCacheLevel(cache_cfg.l2_size, cache_cfg.l2_ways,
-                              latency=cache_cfg.l2_latency)
+        tl1 = TLBLevel(tlb_cfg.l1_entries, tlb_cfg.l1_ways)
+        tl2 = TLBLevel(tlb_cfg.l2_entries, tlb_cfg.l2_ways)
+        cl1 = CacheLevel(cache_cfg.l1_size, cache_cfg.l1_ways,
+                         latency=cache_cfg.l1_latency)
+        cl2 = CacheLevel(cache_cfg.l2_size, cache_cfg.l2_ways,
+                         latency=cache_cfg.l2_latency)
         g1 = tl1.slot_of.get
         g2 = tl2.slot_of.get
         sl1 = tl1.slot_of
@@ -452,7 +413,8 @@ class FastReplayEngine(ReplayEngine):
         cw2 = cl2.ways
 
         process = self.process
-        kernel = self.kernel
+        memory = copy.copy(self.kernel.physical_memory)
+        faulted: Dict[int, object] = {}
         pt_get = process.page_table.get
         find = process.address_space.find
 
@@ -511,9 +473,10 @@ class FastReplayEngine(ReplayEngine):
                         ages1[free] = t1
                         t1 += 1
                     else:
-                        pte = pt_get(vpn)
+                        pte = pt_get(vpn) or faulted.get(vpn)
                         if pte is None:
-                            pte = kernel.handle_page_fault(process, a)
+                            pte = faulted[vpn] = Kernel.fault_pte(
+                                process, a, memory)
                         vma = find(a)
                         if vma is None:
                             raise SimulationError(
@@ -625,8 +588,8 @@ class FastReplayEngine(ReplayEngine):
 
     # -- driver ---------------------------------------------------------------
 
-    def _play(self, trace: tr.Trace,
-              marks: Optional[Sequence[int]]) -> None:
+    def _simulate(self, trace: tr.Trace,
+                  marks: Optional[Sequence[int]]) -> None:
         """The fast body of :meth:`run` — same contract as the reference
         interpreter, ``marks`` snapshots and event records included."""
         stats = self.stats
@@ -851,15 +814,19 @@ class FastReplayEngine(ReplayEngine):
         records, in index order.  A record stands for one page run: its
         head's PTLB lookup, with an inlined pseudo-LRU touch (a miss
         calls the scheme's own refill), then one PTLB hit per tail.
-        Hits are booked once, at the end of the segment; a stamp adds
-        the ones still pending.  A run that a mark cuts books its tails
-        before the mark here and carries the rest into the next
-        segment.  Returns the advanced cold-event cursor.
+        With integer charges the hits are booked once, at the end of the
+        segment, and a stamp adds the ones still pending; otherwise
+        (``_per_hit``) each record's hits, and a carried run's, are
+        booked one by one before anything else can charge.  A run that
+        a mark cuts books its tails before the mark here and carries
+        the rest into the next segment.  Returns the advanced cold-event
+        cursor.
         """
         stats = self.stats
         scheme = self.scheme
         ev = self._ev
         acc = self._access_cycles
+        per_hit = self._per_hit
         checks = self._checks
         cold = self._cold
         cj = self._cj
@@ -889,6 +856,9 @@ class FastReplayEngine(ReplayEngine):
             if carry is not None:
                 self._carry = None
                 tails(p, *carry)
+                if per_hit and n_ph:
+                    self._book_hits(n_ph)
+                    n_ph = 0
             while True:
                 ii = checks[cj][0] if cj < n_chk else q
                 jj = cold[ci][0] if ci < n_cold else q
@@ -940,6 +910,9 @@ class FastReplayEngine(ReplayEngine):
                         self._violation(ii, a, dom, tid, w)
                     if end - ii > 1:
                         tails(ii + 1, end, pm, dom, tid)
+                    if per_hit and n_ph:
+                        self._book_hits(n_ph)
+                        n_ph = 0
                 else:
                     _, k, tid, a, b = cold[ci]
                     ci += 1
@@ -950,12 +923,23 @@ class FastReplayEngine(ReplayEngine):
         finally:
             self._cj = cj
             if n_ph:
-                scheme.ptlb.hits += n_ph
-                # n identical integer charges batch exactly.
-                total = n_ph * acc
-                stats.buckets["access_latency"] += total
-                stats.cycles += total
+                self._book_hits(n_ph)
         return ci
+
+    def _book_hits(self, n: int) -> None:
+        """Book ``n`` PTLB hits and their access charges: one ``n*c``
+        while every charge is an integer (exact in any grouping), else
+        one charge per hit, as the reference does."""
+        self.scheme.ptlb.hits += n
+        acc = self._access_cycles
+        stats = self.stats
+        if self._per_hit:
+            for _ in range(n):
+                stats.charge("access_latency", acc)
+        else:
+            total = n * acc
+            stats.buckets["access_latency"] += total
+            stats.cycles += total
 
     # -- live-TLB walker (mpk / swtable) --------------------------------------
 

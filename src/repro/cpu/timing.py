@@ -1,7 +1,8 @@
 """Trace replay with cycle-approximate timing — the Sniper stand-in.
 
-:class:`ReplayEngine` replays a recorded trace against a fresh TLB +
-cache hierarchy and one protection scheme, accumulating cycles:
+:class:`ReplayEngine` is the base of the replay engine: it replays a
+recorded trace against a fresh TLB + cache hierarchy and one protection
+scheme, accumulating cycles:
 
 * retired instructions cost ``base_cpi`` cycles each;
 * a memory access pays its TLB cost (L1 hit free, L2 hit 4 cycles, full
@@ -14,27 +15,26 @@ The baseline run uses the ``NullProtection`` scheme over the *same* trace,
 so overhead percentages isolate exactly the protection machinery, as in
 the paper's methodology (Section V).
 
-This interpreter walks the row view event by event: the differential
-oracle of the array-backed engine (:mod:`repro.cpu.fast_timing`), and
-the fallback for schemes no fast kernel family covers.  Both engines
-share :meth:`ReplayEngine.run` and its hooks.  Traced, every hook that
-can emit a record (a TLB fill, a permission check, a cold event) first
-stamps ``ev.cycle``: the machine cycles before the event, plus its
-``icount*cpi``, plus its TLB penalty (fill or check), plus the scheme
-charges so far, added in that order.
+The base holds what every replay shares: :meth:`ReplayEngine.run` and
+its hooks — the event span, the metrics harvest and the cold-event
+dispatch.  The body that walks the events, ``_simulate``, is the
+array-backed engine's (:mod:`repro.cpu.fast_timing`); the test suite's
+reference interpreter (``tests/oracle.py``) is a second body over the
+same hooks.  Traced, every hook that can emit a record (a TLB fill, a
+permission check, a cold event) first stamps ``ev.cycle``: the machine
+cycles before the event, plus its ``icount*cpi``, plus its TLB penalty
+(fill or check), plus the scheme charges so far, added in that order.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple, Type
+from typing import Dict, Optional, Sequence, Tuple, Type
 
 from .. import obs
-from ..permissions import Perm
 from ..core.schemes import ProtectionScheme
-from ..errors import ProtectionFault, SimulationError
+from ..errors import SimulationError
 from ..mem.cache import CacheHierarchy
-from ..mem.memory import NVM_FRAME_BASE
-from ..mem.tlb import TLBEntry, TwoLevelTLB
+from ..mem.tlb import TwoLevelTLB
 from ..os.kernel import Kernel
 from ..os.process import Process
 from ..sim.config import SimConfig
@@ -44,11 +44,10 @@ from .trace import ATTACH, CTXSW, DETACH, INIT_PERM, PERM
 
 
 class ReplayEngine:
-    """Replays one trace under one protection scheme."""
+    """Replays one trace under one protection scheme; subclasses supply
+    the walk (``_simulate``)."""
 
-    #: TLB/cache model classes; the array-backed fast engine
-    #: (:mod:`repro.cpu.fast_timing`) overrides these with its flat-array
-    #: implementations — decision- and counter-identical either way.
+    #: TLB/cache model classes (the test oracle swaps in its own).
     tlb_class = TwoLevelTLB
     cache_class = CacheHierarchy
 
@@ -96,7 +95,7 @@ class ReplayEngine:
         """
         ev = self._begin(trace)
         try:
-            self._play(trace, marks)
+            self._simulate(trace, marks)
             return self._finish()
         finally:
             # An aborted replay (protection fault, key exhaustion) emits
@@ -106,7 +105,13 @@ class ReplayEngine:
                 ev.end_replay()
                 ev.flush()
 
-    # -- shared by both engines -----------------------------------------------
+    def _simulate(self, trace: tr.Trace,
+                  marks: Optional[Sequence[int]]) -> None:
+        """Replay every event into ``self.stats``: cycles, counters and,
+        with ``marks``, ``mark_cycles``."""
+        raise NotImplementedError
+
+    # -- hooks ----------------------------------------------------------------
 
     def _begin(self, trace: tr.Trace):
         """Resolve the attach table and open the event span; returns the
@@ -173,131 +178,3 @@ class ReplayEngine:
             scheme.detach_domain(a)
         else:  # pragma: no cover - malformed trace
             raise SimulationError(f"unknown event kind {kind}")
-
-    # -- the reference interpreter --------------------------------------------
-
-    def _play(self, trace: tr.Trace,
-              marks: Optional[Sequence[int]]) -> None:
-        """Replay every event of the row view, one at a time."""
-        stats = self.stats
-        events = trace.events
-        snapshots: List[float] = []
-        cycles = 0.0
-        instructions = 0
-        previous = 0
-        for stop in marks or ():
-            cycles, instructions = self._replay(
-                events, previous, stop, cycles, instructions)
-            snapshots.append(cycles + stats.cycles)
-            previous = stop
-        cycles, instructions = self._replay(
-            events, previous, len(events), cycles, instructions)
-        if marks:
-            stats.mark_cycles = snapshots
-        # Scheme charges already accumulated into stats.cycles; fold in the
-        # machine cycles computed here.
-        stats.cycles += cycles
-        stats.instructions = instructions
-
-    def _replay(self, events, start: int, stop: int, cycles: float,
-                instructions: int) -> Tuple[float, int]:
-        """Replay one slice of the event stream; returns the running
-        (machine cycles, instructions) totals."""
-        stats = self.stats
-        scheme = self.scheme
-        config = self.config
-        ev = self._ev
-        enforce = config.enforce_protection
-        cpi = config.processor.base_cpi
-        overlap = config.processor.stall_overlap
-        l2_tlb_latency = config.tlb.l2_latency
-        tlb_miss_penalty = config.tlb.miss_penalty
-        l1_hit_latency = config.cache.l1_latency
-
-        tlb_l1 = self.tlb.l1
-        tlb_l2 = self.tlb.l2
-        caches = self.caches
-        page_table = self.process.page_table
-        address_space = self.process.address_space
-        cold_event = self._cold_event
-        # Memory latency comes from the replay's own config (so latency
-        # ablations work); the frame number only selects the region.
-        dram_latency = config.memory.dram_latency
-        nvm_latency = config.memory.nvm_latency
-
-        LOAD, STORE, FETCH = tr.LOAD, tr.STORE, tr.FETCH
-
-        if start == 0 and stop == len(events):
-            window = events
-        else:
-            # Direct index-range slice: islice(events, start, stop) walks
-            # the list from 0 every call, turning marked replays into
-            # O(events x marks).
-            window = events[start:stop]
-
-        for kind, tid, icount, a, b in window:
-            instructions += icount
-            cycles += icount * cpi
-            if kind == LOAD or kind == STORE or kind == FETCH:
-                is_write = kind == STORE
-                vpn = a >> 12
-                entry = tlb_l1.lookup(vpn)
-                if entry is not None:
-                    stats.tlb_l1_hits += 1
-                else:
-                    entry = tlb_l2.lookup(vpn)
-                    if entry is not None:
-                        tlb_l1.fill(entry)
-                        stats.tlb_l2_hits += 1
-                        cycles += l2_tlb_latency
-                    else:
-                        # Full TLB miss: page-table walk (+DTT/DRT walk in
-                        # parallel), then the scheme supplies the tags.
-                        stats.tlb_misses += 1
-                        cycles += tlb_miss_penalty
-                        if ev is not None:
-                            ev.cycle = cycles + stats.cycles
-                        pte = page_table.get(vpn)
-                        if pte is None:
-                            pte = self.kernel.handle_page_fault(
-                                self.process, a)
-                        vma = address_space.find(a)
-                        if vma is None:
-                            raise SimulationError(
-                                f"trace access at {a:#x} outside any VMA")
-                        pkey, domain = scheme.fill_tags(vma, tid)
-                        entry = TLBEntry(vpn=vpn, pfn=pte.pfn, perm=pte.perm,
-                                         pkey=pkey, domain=domain)
-                        self.tlb.fill(entry)
-                if is_write:
-                    stats.stores += 1
-                else:
-                    stats.loads += 1
-                if entry.domain:
-                    stats.pmo_accesses += 1
-                # Instruction fetches bypass the data-permission check:
-                # "code can still jump to this domain and execute" even
-                # when reads/writes are disabled (Section II-B).
-                if ev is not None:
-                    ev.cycle = cycles + stats.cycles
-                if kind != FETCH and \
-                        not scheme.check_access(tid, entry, is_write):
-                    stats.protection_faults += 1
-                    if enforce:
-                        raise ProtectionFault(
-                            f"illegal {'store' if is_write else 'load'} at "
-                            f"{a:#x} (domain {entry.domain}, thread {tid})",
-                            vaddr=a, domain=entry.domain, thread=tid,
-                            is_write=is_write)
-                mem_latency = (nvm_latency if entry.pfn >= NVM_FRAME_BASE
-                               else dram_latency)
-                latency = caches.access((entry.pfn << 12) | (a & 0xFFF),
-                                        mem_latency)
-                cycles += (latency - l1_hit_latency) * overlap
-            else:
-                if ev is not None:
-                    ev.cycle = cycles + stats.cycles
-                cold_event(kind, tid, a,
-                           Perm(b) if kind <= INIT_PERM else b)
-
-        return cycles, instructions

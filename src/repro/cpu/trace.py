@@ -223,9 +223,10 @@ class TraceColumnsBuilder:
 class Trace:
     """An immutable recorded execution, stored as event columns.
 
-    ``.columns`` is the one representation: the fast replay engine, the
+    ``.columns`` is the one representation: the replay engine, the
     trace writer and the service layer read it directly.  ``.events``
-    is a row-tuple view built on demand for the reference interpreter.
+    is a row-tuple view built on demand; only the test suite's
+    reference interpreter reads it.
     """
 
     def __init__(self, columns: TraceColumns,

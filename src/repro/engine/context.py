@@ -25,7 +25,7 @@ import dataclasses
 from typing import Dict, Optional, Sequence, Tuple
 
 from ..core.schemes import scheme_by_name
-from ..cpu.fast_timing import make_replay_engine
+from ..cpu.fast_timing import FastReplayEngine
 from ..cpu.trace import Trace
 from ..errors import EngineError
 from ..mem.memory import NVM_FRAME_BASE
@@ -111,10 +111,10 @@ class ReplayContext:
         whole-trace replay and changes nothing.
         """
         config = config or DEFAULT_CONFIG
-        engine = make_replay_engine(config, self.kernel, self.process,
-                                    scheme_by_name(scheme),
-                                    attach_info=self.attach_info,
-                                    n_cores=n_cores)
+        engine = FastReplayEngine(config, self.kernel, self.process,
+                                  scheme_by_name(scheme),
+                                  attach_info=self.attach_info,
+                                  n_cores=n_cores)
         return engine.run(trace, marks=marks)
 
 

@@ -8,7 +8,6 @@ lines that miss all levels pay the NVM latency, others the DRAM latency.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from typing import List, Optional
 
 LINE_SHIFT = 6  # 64-byte lines
@@ -16,59 +15,13 @@ LINE_SIZE = 1 << LINE_SHIFT
 
 
 class CacheLevel:
-    """One set-associative, write-allocate cache level (tag-only)."""
+    """One set-associative, write-allocate cache level (tag-only).
 
-    def __init__(self, size_bytes: int, ways: int, *, latency: int):
-        lines = size_bytes // LINE_SIZE
-        if lines % ways:
-            raise ValueError("line count must be a multiple of ways")
-        self.ways = ways
-        self.n_sets = lines // ways
-        self.latency = latency
-        self._sets: List["OrderedDict[int, bool]"] = [
-            OrderedDict() for _ in range(self.n_sets)]
-        self.hits = 0
-        self.misses = 0
-
-    def _set_for(self, line: int) -> "OrderedDict[int, bool]":
-        return self._sets[line % self.n_sets]
-
-    def lookup(self, line: int) -> bool:
-        entries = self._set_for(line)
-        if line in entries:
-            entries.move_to_end(line)
-            self.hits += 1
-            return True
-        self.misses += 1
-        return False
-
-    def fill(self, line: int) -> Optional[int]:
-        """Insert a line; returns the evicted victim line, if any."""
-        entries = self._set_for(line)
-        victim = None
-        if line not in entries and len(entries) >= self.ways:
-            victim, _ = entries.popitem(last=False)
-        entries[line] = True
-        entries.move_to_end(line)
-        return victim
-
-    def invalidate_all(self) -> None:
-        for entries in self._sets:
-            entries.clear()
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-
-class ArrayCacheLevel:
-    """One cache level on preallocated flat slot arrays.
-
-    Decision-equivalent to :class:`CacheLevel` (same modulo set index,
-    same per-set LRU), but kept as a flat ``line -> slot`` dict plus
-    per-slot line/age lists mutated in place, so the fast replay kernel
-    (:mod:`repro.cpu.fast_timing`) can hoist the containers into locals.
-    Age stamps are strictly increasing; the minimum age in a set is the
-    least recently touched line — exactly the OrderedDict's front.
+    A modulo set index with per-set LRU, kept as a flat ``line -> slot``
+    dict plus per-slot line/age lists mutated in place, so the replay
+    engine (:mod:`repro.cpu.fast_timing`) can hoist the containers into
+    locals.  Age stamps are strictly increasing; the minimum age in a
+    set is the least recently touched line.
     """
 
     __slots__ = ("ways", "n_sets", "latency", "slot_of", "lines", "ages",
@@ -138,9 +91,11 @@ class ArrayCacheLevel:
 
 
 class CacheHierarchy:
-    """L1D + L2 with a main-memory latency callback for misses.
+    """L1D + L2, plus the count of accesses that missed both levels.
 
-    Table II: L1D 32KB/8-way 1 cycle; L2 1MB/16-way 8 cycles.
+    Table II: L1D 32KB/8-way 1 cycle; L2 1MB/16-way 8 cycles.  The
+    replay engine classifies every access against its own copy of these
+    levels and credits the counters here once per replay.
     """
 
     def __init__(self, *, l1_size: int = 32 << 10, l1_ways: int = 8,
@@ -150,23 +105,6 @@ class CacheHierarchy:
         self.l2 = CacheLevel(l2_size, l2_ways, latency=l2_latency)
         self.mem_accesses = 0
 
-    def access(self, paddr: int, memory_latency: int) -> int:
-        """Access one physical address; returns the load-to-use latency.
-
-        ``memory_latency`` is the DRAM/NVM latency to charge if both
-        levels miss (the caller knows which region the frame lives in).
-        """
-        line = paddr >> LINE_SHIFT
-        if self.l1.lookup(line):
-            return self.l1.latency
-        if self.l2.lookup(line):
-            self.l1.fill(line)
-            return self.l1.latency + self.l2.latency
-        self.mem_accesses += 1
-        self.l2.fill(line)
-        self.l1.fill(line)
-        return self.l1.latency + self.l2.latency + memory_latency
-
     def report_metrics(self, registry) -> None:
         """Report hit/miss counters into an obs MetricsRegistry
         (names are part of the ``docs/OBSERVABILITY.md`` contract)."""
@@ -175,20 +113,3 @@ class CacheHierarchy:
         registry.counter("cache.l2.hits").inc(self.l2.hits)
         registry.counter("cache.l2.misses").inc(self.l2.misses)
         registry.counter("cache.mem_accesses").inc(self.mem_accesses)
-
-
-class ArrayCacheHierarchy(CacheHierarchy):
-    """:class:`CacheHierarchy` on :class:`ArrayCacheLevel` levels.
-
-    Same interface, counters and replacement decisions; the fast replay
-    engine inlines the L1 hit path against the levels' flat containers
-    and falls into the inherited slow path logic through
-    :meth:`~repro.cpu.fast_timing.FastReplayEngine` helpers.
-    """
-
-    def __init__(self, *, l1_size: int = 32 << 10, l1_ways: int = 8,
-                 l1_latency: int = 1, l2_size: int = 1 << 20,
-                 l2_ways: int = 16, l2_latency: int = 8):
-        self.l1 = ArrayCacheLevel(l1_size, l1_ways, latency=l1_latency)
-        self.l2 = ArrayCacheLevel(l2_size, l2_ways, latency=l2_latency)
-        self.mem_accesses = 0

@@ -14,7 +14,6 @@ died so the harness can attribute the re-miss cost to invalidations.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -37,143 +36,21 @@ class TLBEntry:
 
 
 class TLBLevel:
-    """One set-associative TLB level with per-set LRU replacement."""
-
-    def __init__(self, entries: int, ways: int):
-        if entries % ways:
-            raise ValueError("entries must be a multiple of ways")
-        self.entries = entries
-        self.ways = ways
-        self.n_sets = entries // ways
-        self._sets: List["OrderedDict[int, TLBEntry]"] = [
-            OrderedDict() for _ in range(self.n_sets)]
-        # domain -> vpns currently cached; lets a domain's range flush run
-        # in time proportional to the entries killed, not the TLB size.
-        self._vpns_by_domain: Dict[int, set] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def _set_for(self, vpn: int) -> "OrderedDict[int, TLBEntry]":
-        # XOR-folded set index.  PMO regions are granule-aligned (1GB for
-        # the 8MB pools of the microbenchmarks), so a pure low-bit index
-        # would alias every pool's pages into the same dozen sets; real
-        # TLBs hash higher VPN bits into the index for exactly this
-        # reason.
-        return self._sets[(vpn ^ (vpn >> 8) ^ (vpn >> 16) ^ (vpn >> 24))
-                          % self.n_sets]
-
-    def lookup(self, vpn: int) -> Optional[TLBEntry]:
-        entries = self._set_for(vpn)
-        entry = entries.get(vpn)
-        if entry is None:
-            self.misses += 1
-            return None
-        entries.move_to_end(vpn)
-        self.hits += 1
-        return entry
-
-    def peek(self, vpn: int) -> Optional[TLBEntry]:
-        """Lookup without touching LRU state or statistics."""
-        return self._set_for(vpn).get(vpn)
-
-    def fill(self, entry: TLBEntry) -> Optional[TLBEntry]:
-        """Insert an entry; returns the evicted victim, if any."""
-        entries = self._set_for(entry.vpn)
-        victim = None
-        if entry.vpn not in entries and len(entries) >= self.ways:
-            _, victim = entries.popitem(last=False)
-            if victim.domain:
-                vpns = self._vpns_by_domain.get(victim.domain)
-                if vpns is not None:
-                    vpns.discard(victim.vpn)
-        entries[entry.vpn] = entry
-        entries.move_to_end(entry.vpn)
-        if entry.domain:
-            self._vpns_by_domain.setdefault(entry.domain, set()).add(entry.vpn)
-        return victim
-
-    # -- invalidation -----------------------------------------------------------
-
-    def invalidate(self, vpn: int) -> bool:
-        entry = self._set_for(vpn).pop(vpn, None)
-        if entry is None:
-            return False
-        if entry.domain:
-            vpns = self._vpns_by_domain.get(entry.domain)
-            if vpns is not None:
-                vpns.discard(vpn)
-        return True
-
-    def invalidate_all(self) -> int:
-        count = sum(len(s) for s in self._sets)
-        for entries in self._sets:
-            entries.clear()
-        self._vpns_by_domain.clear()
-        return count
-
-    def invalidate_domain(self, domain: int) -> int:
-        """Invalidate every entry belonging to one domain (O(killed))."""
-        vpns = self._vpns_by_domain.pop(domain, None)
-        if not vpns:
-            return 0
-        count = 0
-        for vpn in vpns:
-            if self._set_for(vpn).pop(vpn, None) is not None:
-                count += 1
-        return count
-
-    def invalidate_range(self, start_vpn: int, n_pages: int) -> int:
-        """Invalidate all entries translating pages in the VA range."""
-        end = start_vpn + n_pages
-        count = 0
-        for entries in self._sets:
-            doomed = [vpn for vpn in entries if start_vpn <= vpn < end]
-            for vpn in doomed:
-                entry = entries.pop(vpn)
-                if entry.domain:
-                    vpns = self._vpns_by_domain.get(entry.domain)
-                    if vpns is not None:
-                        vpns.discard(vpn)
-            count += len(doomed)
-        return count
-
-    def invalidate_pkey(self, pkey: int) -> int:
-        """Invalidate all entries tagged with a protection key."""
-        count = 0
-        for entries in self._sets:
-            doomed = [vpn for vpn, e in entries.items() if e.pkey == pkey]
-            for vpn in doomed:
-                entry = entries.pop(vpn)
-                if entry.domain:
-                    vpns = self._vpns_by_domain.get(entry.domain)
-                    if vpns is not None:
-                        vpns.discard(vpn)
-            count += len(doomed)
-        return count
-
-    # -- introspection --------------------------------------------------------------
-
-    def __len__(self) -> int:
-        return sum(len(s) for s in self._sets)
-
-    def __iter__(self) -> Iterator[TLBEntry]:
-        for entries in self._sets:
-            yield from entries.values()
-
-
-class ArrayTLBLevel:
     """One set-associative TLB level on preallocated flat slot arrays.
 
-    Decision-equivalent to :class:`TLBLevel` — the same XOR-folded set
-    index and per-set LRU — but shaped for the fast replay kernel
-    (:mod:`repro.cpu.fast_timing`): entries are plain tuples
+    Shaped for the replay engine (:mod:`repro.cpu.fast_timing`), which
+    reaches into the flat containers directly: entries are plain tuples
 
     ``(vpn, pfn, perm, pkey, domain, line_base, mem_penalty)``
 
     stored in flat per-slot lists with a single ``vpn -> slot`` dict for
-    O(1) lookup.  LRU order is kept as strictly increasing age stamps
-    (min age == least recently touched == ``OrderedDict.popitem(last=
-    False)``), and every container mutates in place so the kernel can
+    O(1) lookup.  The set index XOR-folds higher VPN bits: PMO regions
+    are granule-aligned (1GB for the 8MB pools of the microbenchmarks),
+    so a pure low-bit index would alias every pool's pages into the
+    same dozen sets; real TLBs hash higher VPN bits into the index for
+    exactly this reason.  LRU order is kept as strictly increasing age
+    stamps (the minimum age in a set is the least recently touched
+    entry), and every container mutates in place so the engine can
     hoist them into locals.  ``line_base``/``mem_penalty`` are
     engine-precomputed replay accelerators; entries installed through
     the public :meth:`fill` carry ``pfn << 6`` and ``None``.
@@ -249,7 +126,7 @@ class ArrayTLBLevel:
             self._vpns_by_domain.setdefault(rec[4], set()).add(vpn)
         return victim
 
-    # -- TLBLevel-compatible interface ----------------------------------------
+    # -- entry interface --------------------------------------------------------
 
     def lookup(self, vpn: int) -> Optional[TLBEntry]:
         slot = self.slot_of.get(vpn)
@@ -400,18 +277,3 @@ class TwoLevelTLB:
         registry.counter("tlb.l1.misses").inc(self.l1.misses)
         registry.counter("tlb.l2.hits").inc(self.l2.hits)
         registry.counter("tlb.l2.misses").inc(self.l2.misses)
-
-
-class ArrayTwoLevelTLB(TwoLevelTLB):
-    """:class:`TwoLevelTLB` on :class:`ArrayTLBLevel` levels.
-
-    Same interface, counters and replacement decisions; the fast replay
-    engine reaches into the levels' flat containers directly, every
-    other caller (schemes issuing flushes, tests, metrics) goes through
-    the inherited public methods.
-    """
-
-    def __init__(self, *, l1_entries: int = 64, l1_ways: int = 4,
-                 l2_entries: int = 1536, l2_ways: int = 6):
-        self.l1 = ArrayTLBLevel(l1_entries, l1_ways)
-        self.l2 = ArrayTLBLevel(l2_entries, l2_ways)

@@ -105,20 +105,27 @@ class Kernel:
 
     def handle_page_fault(self, process: Process, vaddr: int) -> PTE:
         """Map the faulting page; PMO pages get NVM frames."""
+        pte = self.fault_pte(process, vaddr, self.physical_memory)
+        self.page_faults += 1
+        process.page_table.map_page(vpn_of(vaddr), pte)
+        return pte
+
+    @staticmethod
+    def fault_pte(process: Process, vaddr: int,
+                  memory: PhysicalMemory) -> PTE:
+        """The entry a page fault at ``vaddr`` maps, on a frame of
+        ``memory``, without mapping it: PMO pages get NVM frames and the
+        attach intent, volatile pages DRAM frames and RW."""
         vma = process.address_space.find(vaddr)
         if vma is None:
             raise NotAttachedError(f"segfault at {vaddr:#x}")
-        self.page_faults += 1
         if vma.is_nvm:
-            pfn = self.physical_memory.alloc_nvm_frame()
-            attachment = process.attachment(vma.pmo_id)
-            page_perm = attachment.intent
+            pfn = memory.alloc_nvm_frame()
+            page_perm = process.attachment(vma.pmo_id).intent
         else:
-            pfn = self.physical_memory.alloc_dram_frame()
+            pfn = memory.alloc_dram_frame()
             page_perm = Perm.RW
-        pte = PTE(pfn=pfn, perm=page_perm, pkey=vma.pkey, domain=vma.pmo_id)
-        process.page_table.map_page(vpn_of(vaddr), pte)
-        return pte
+        return PTE(pfn=pfn, perm=page_perm, pkey=vma.pkey, domain=vma.pmo_id)
 
     def ensure_mapped(self, process: Process, vaddr: int) -> PTE:
         """Return the PTE for ``vaddr``, faulting the page in if needed."""

@@ -13,7 +13,9 @@ from repro.core.schemes import (CostDescriptor, ProtectionScheme,
                                 hard_domain_limit, scheme_by_name,
                                 scheme_descriptor, schemes_tagged,
                                 supports_domain_count)
-from repro.cpu.fast_timing import kernel_for, supports_fast_replay
+from repro.cpu.fast_timing import (FastReplayEngine, kernel_for,
+                                   supports_fast_replay)
+from repro.os.kernel import Kernel
 from repro.sim.config import DEFAULT_CONFIG
 
 ALL_SCHEMES = ("lowerbound", "mpk", "mpk_virt", "domain_virt", "libmpk",
@@ -48,6 +50,13 @@ class TestValidation:
     def test_broadcast_requires_tlb_invalidation(self):
         with pytest.raises(ValueError, match="invalidating TLB"):
             CostDescriptor(broadcast_shootdown=True)
+
+    @pytest.mark.parametrize("check", ("page", "ptlb"))
+    def test_radiograph_checks_cannot_invalidate_the_tlb(self, check):
+        # Their kernels replay the baseline TLB radiograph; no kernel
+        # family covers them on a scheme that kills TLB entries.
+        with pytest.raises(ValueError, match="cannot invalidate TLB"):
+            CostDescriptor(check=check, invalidates_tlb=True)
 
 
 class TestDerivations:
@@ -120,7 +129,7 @@ class TestSchemeDeclarations:
 
 
 class TestKernelSelection:
-    """descriptor -> fused kernel family (repro.cpu.fast_timing)."""
+    """descriptor check -> kernel family (repro.cpu.fast_timing)."""
 
     def _kernel(self, name):
         return kernel_for(DEFAULT_CONFIG, scheme_by_name(name))
@@ -151,3 +160,8 @@ class TestKernelSelection:
 
         assert kernel_for(DEFAULT_CONFIG, Undeclared) is None
         assert not supports_fast_replay(DEFAULT_CONFIG, Undeclared)
+        # ... and the engine refuses it by name, before any replay.
+        kernel = Kernel()
+        with pytest.raises(ValueError, match="undeclared_test_scheme"):
+            FastReplayEngine(DEFAULT_CONFIG, kernel,
+                             kernel.create_process(), Undeclared)

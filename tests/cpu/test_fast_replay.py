@@ -1,9 +1,9 @@
-"""Differential suite: the fast replay engine vs the reference interpreter.
+"""Differential suite: the replay engine vs the reference interpreter.
 
 The array-backed engine (``repro.cpu.fast_timing``) is an optimization,
 not a model change — for every scheme and every trace it must produce
 **bit-identical** ``RunStats`` (cycles, buckets, counters, marks,
-metrics) to the reference interpreter (``repro.cpu.timing``).  These
+metrics) to the reference interpreter (``tests/oracle.py``).  These
 tests replay real generated traces (micro multi-pool, a datastructure
 bench, the multi-tenant service) under both engines and diff the full
 result, including the exact float bit patterns of the cycle totals —
@@ -19,9 +19,8 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.core.schemes import scheme_by_name
-from repro.cpu.fast_timing import (FastReplayEngine, make_replay_engine,
-                                   run_tails)
-from repro.cpu.timing import ReplayEngine
+from repro.cpu.fast_timing import (FastReplayEngine, kernel_for,
+                                   run_tails, supports_fast_replay)
 from repro.engine.context import ReplayContext, replay_one
 from repro.errors import PkeyError, ProtectionFault
 from repro.permissions import Perm
@@ -29,6 +28,8 @@ from repro.sim.config import DEFAULT_CONFIG, apply_override
 from repro.sim.stats import RunStats
 from repro.workloads.base import UnprotectedPolicy, Workspace
 from repro.workloads.micro import MicroParams, generate_micro_trace
+
+from ..oracle import ReferenceEngine
 
 SCHEMES = ("baseline", "lowerbound", "mpk", "mpk_virt", "libmpk",
            "domain_virt", "erim", "pks_seal", "dpti", "poe2")
@@ -108,16 +109,19 @@ def violating_trace():
     return ws.finish()
 
 
-def one_page_trace(accesses, window, *, intent=Perm.RW):
+def one_page_trace(accesses, window, *, intent=Perm.RW, mapped=True):
     """``accesses`` — ``(kind, offset)`` pairs — on one page of a PMO
     attached with page permission ``intent``, after a SETPERM that
-    opens the domain to ``window`` (none when ``window`` is None)."""
+    opens the domain to ``window`` (none when ``window`` is None).
+    Unless ``mapped`` is False, the recording maps the page."""
     ws = Workspace(UnprotectedPolicy(), seed=6)
     pool = ws.create_and_attach("page", 1 << 20, intent=intent)
     with ws.untraced():
         oid = pool.pool.pmalloc(4096, align=4096)
-        # Map the page while recording, as a generated trace's pages are.
-        ws.mem.write_bytes(oid, 0, bytes(8))
+        if mapped:
+            # Map the page while recording, as a generated trace's
+            # pages are.
+            ws.mem.write_bytes(oid, 0, bytes(8))
     base = pool.va_of(oid)
     recorder = ws.recorder
     if window is not None:
@@ -136,9 +140,10 @@ def _engine(engine_class, trace, scheme, config=DEFAULT_CONFIG):
 
 
 def _replay_both(trace, scheme, *, marks=None, config=DEFAULT_CONFIG):
-    """The reference interpreter's result and the production engine's
-    (the fast one wherever a kernel family covers the scheme)."""
-    ref = _engine(ReplayEngine, trace, scheme, config).run(trace, marks=marks)
+    """The reference interpreter's result and the engine's, through
+    ``replay_one``."""
+    ref = _engine(ReferenceEngine, trace, scheme, config).run(
+        trace, marks=marks)
     fast = replay_one(trace, scheme, config, marks=marks)
     return ref, fast
 
@@ -170,7 +175,7 @@ def _enforcing(enforce):
 
 def _assert_same_outcome(trace, scheme, *, marks=None,
                          config=DEFAULT_CONFIG):
-    ref = _outcome(ReplayEngine, trace, scheme, config, marks)
+    ref = _outcome(ReferenceEngine, trace, scheme, config, marks)
     fast = _outcome(FastReplayEngine, trace, scheme, config, marks)
     assert ref == fast
 
@@ -184,31 +189,9 @@ def _assert_identical(ref, fast):
     assert dataclasses.asdict(ref) == dataclasses.asdict(fast)
 
 
-class TestEngineSelection:
-    def _engine_for(self, scheme="baseline"):
-        ws = Workspace(seed=3)
-        return make_replay_engine(DEFAULT_CONFIG, ws.kernel, ws.process,
-                                  scheme_by_name(scheme))
-
-    def test_selects_fast_engine(self):
-        assert isinstance(self._engine_for(), FastReplayEngine)
-
-    def test_event_tracing_keeps_the_fast_engine(self, monkeypatch):
-        # The fast engine emits the reference's records, so an active
-        # event sink changes nothing about engine selection.
-        monkeypatch.setenv("REPRO_EVENTS", "ring")
-        obs.reset()
-        try:
-            assert isinstance(self._engine_for(), FastReplayEngine)
-        finally:
-            monkeypatch.delenv("REPRO_EVENTS")
-            obs.reset()
-
-
-class TestFallbackObservability:
-    """A scheme without a fast kernel must fall back *loudly*: a
-    one-time RuntimeWarning naming the scheme plus an
-    ``engine.fast_fallback`` counter increment."""
+class TestRefusal:
+    """A scheme without a CostDescriptor has no kernel family: building
+    its engine fails at once, naming the scheme."""
 
     def _undeclared_scheme(self):
         from repro.core.schemes import ProtectionScheme
@@ -220,42 +203,25 @@ class TestFallbackObservability:
         return BespokeScheme
 
     def test_every_registered_scheme_has_a_kernel(self):
-        from repro.cpu.fast_timing import supports_fast_replay
         for scheme in SCHEMES:
             if scheme == "baseline":
                 continue
             assert supports_fast_replay(DEFAULT_CONFIG,
                                         scheme_by_name(scheme)), scheme
 
-    def test_fallback_warns_once_and_counts(self, monkeypatch):
-        import warnings
-
-        from repro import obs
-        from repro.cpu import fast_timing
-
-        monkeypatch.setenv("REPRO_METRICS", "1")
-        monkeypatch.setattr(fast_timing, "_warned_fallback", set())
-        obs.reset()
+    def test_engine_refuses_a_descriptorless_scheme(self):
         ws = Workspace(seed=3)
+        with pytest.raises(ValueError, match="bespoke_test_scheme"):
+            FastReplayEngine(DEFAULT_CONFIG, ws.kernel, ws.process,
+                             self._undeclared_scheme())
+
+    def test_replay_one_refuses_a_descriptorless_scheme(self, monkeypatch,
+                                                        micro_trace):
+        from repro.core.schemes import SCHEMES as REGISTRY
         cls = self._undeclared_scheme()
-        try:
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                engine = make_replay_engine(DEFAULT_CONFIG, ws.kernel,
-                                            ws.process, cls)
-                make_replay_engine(DEFAULT_CONFIG, ws.kernel, ws.process,
-                                   cls)
-            assert not isinstance(engine, FastReplayEngine)
-            warned = [w for w in caught
-                      if issubclass(w.category, RuntimeWarning)]
-            assert len(warned) == 1  # one-time, not per replay
-            assert "bespoke_test_scheme" in str(warned[0].message)
-            registry = obs.metrics()
-            assert registry is not None
-            assert registry.value("engine.fast_fallback") == 2
-        finally:
-            monkeypatch.delenv("REPRO_METRICS")
-            obs.reset()
+        monkeypatch.setitem(REGISTRY._plugins, cls.name, cls)
+        with pytest.raises(ValueError, match="bespoke_test_scheme"):
+            replay_one(micro_trace, cls.name)
 
 
 class TestBitIdenticalReplay:
@@ -282,20 +248,23 @@ class TestBitIdenticalReplay:
     @pytest.mark.parametrize("override", (
         ("domain_virt.ptlb_miss_cycles", 30.1),
         ("domain_virt.ptlb_entry_change_cycles", 1.3),
-        ("mpk.wrpkru_cycles", 27.7)))
+        ("mpk.wrpkru_cycles", 27.7),
+        ("domain_virt.ptlb_access_cycles", 1.5)))
     def test_fractional_dv_charges(self, wide_avl_trace, override):
-        # The dv walker books PTLB hits as one n*c after the charges
-        # made meanwhile; with a fractional charge that reordering
-        # rounds differently, so such configs must not get the dv kernel.
+        # Batching PTLB hits as one n*c after the charges made meanwhile
+        # rounds differently once any charge is fractional, so the dv
+        # walker then books every hit on its own, in the reference order.
         config = apply_override(DEFAULT_CONFIG, *override)
+        assert kernel_for(config, scheme_by_name("domain_virt")) == "dv"
         ref, fast = _replay_both(wide_avl_trace, "domain_virt",
                                  config=config)
         _assert_identical(ref, fast)
 
     def test_dv_declares_every_charge(self, wide_avl_trace, monkeypatch):
-        # kernel_for checks only the charges the scheme declares; one
-        # booked outside charge_cycles would escape that check.  With a
-        # distinct value per field, every booked charge names its field.
+        # The dv walker's per-hit rule checks only the charges the scheme
+        # declares; one booked outside charge_cycles would escape that
+        # check.  With a distinct value per field, every booked charge
+        # names its field.
         config = DEFAULT_CONFIG
         for override in (("mpk.wrpkru_cycles", 27.25),
                          ("domain_virt.ptlb_access_cycles", 1.5),
@@ -310,7 +279,7 @@ class TestBitIdenticalReplay:
             charge(stats, bucket, cycles)
 
         monkeypatch.setattr(RunStats, "charge", record)
-        _engine(ReplayEngine, wide_avl_trace, "domain_virt",
+        _engine(ReferenceEngine, wide_avl_trace, "domain_virt",
                 config).run(wide_avl_trace)
         declared = scheme_by_name("domain_virt").charge_cycles(config)
         assert booked == set(declared)
@@ -371,7 +340,7 @@ class TestProtectionFaultParity:
     def test_same_fault(self, scheme):
         trace = violating_trace()
         with pytest.raises(ProtectionFault) as ref:
-            _engine(ReplayEngine, trace, scheme).run(trace)
+            _engine(ReferenceEngine, trace, scheme).run(trace)
         with pytest.raises(ProtectionFault) as fast:
             replay_one(trace, scheme)
         assert str(ref.value) == str(fast.value)
@@ -379,7 +348,7 @@ class TestProtectionFaultParity:
             assert getattr(ref.value, attr) == getattr(fast.value, attr)
         # The aborted replay's counters cover exactly the faulting
         # prefix under both engines: RunStats and every TLB/cache level.
-        ref_engine = self._faulted_engine(trace, scheme, ReplayEngine)
+        ref_engine = self._faulted_engine(trace, scheme, ReferenceEngine)
         fast_engine = self._faulted_engine(trace, scheme, FastReplayEngine)
         assert isinstance(fast_engine, FastReplayEngine)
         assert not isinstance(ref_engine, FastReplayEngine)
@@ -443,12 +412,12 @@ def ring(monkeypatch):
     obs.reset()
 
 
-def _traced(engine_class, trace, scheme, marks=None):
+def _traced(engine_class, trace, scheme, marks=None, config=DEFAULT_CONFIG):
     """One replay in a fresh event trace: its records (without the
     wall-clock ``ts`` and ``pid``), its RunStats and the error it
     raised, if any."""
     obs.reset()
-    engine = _engine(engine_class, trace, scheme)
+    engine = _engine(engine_class, trace, scheme, config)
     error = None
     try:
         engine.run(trace, marks=marks)
@@ -464,9 +433,10 @@ class TestEventParity:
     cycle stamps included, and keeps its RunStats."""
 
     @staticmethod
-    def _assert_same_stream(trace, scheme, marks=None):
-        ref = _traced(ReplayEngine, trace, scheme, marks)
-        fast = _traced(FastReplayEngine, trace, scheme, marks)
+    def _assert_same_stream(trace, scheme, marks=None,
+                            config=DEFAULT_CONFIG):
+        ref = _traced(ReferenceEngine, trace, scheme, marks, config)
+        fast = _traced(FastReplayEngine, trace, scheme, marks, config)
         assert ref[0] and ref[0][0]["kind"] == "replay.start"
         assert ref[0] == fast[0]
         assert ref[1:] == fast[1:]
@@ -484,6 +454,15 @@ class TestEventParity:
     @pytest.mark.parametrize("scheme", SCHEMES)
     def test_faulting(self, ring, scheme):
         self._assert_same_stream(violating_trace(), scheme)
+
+    def test_fractional_dv_charges(self, ring, storm_trace):
+        # Hits booked one by one keep every stamp's scheme charges.
+        from repro.service.server import batch_boundaries
+        config = apply_override(DEFAULT_CONFIG,
+                                "domain_virt.ptlb_access_cycles", 1.5)
+        config = apply_override(config, "domain_virt.ptlb_miss_cycles", 30.1)
+        self._assert_same_stream(storm_trace, "domain_virt",
+                                 batch_boundaries(storm_trace), config)
 
     def test_dv_pt_walk_stamps_are_distinct(self, ring, wide_avl_trace):
         # Each PTLB refill happens at its own simulated instant; a stamp
@@ -570,10 +549,26 @@ def _marks(data, trace):
     return sorted(data.draw(st.lists(index, max_size=24)))
 
 
+#: A cycle charge: an integer, or a fraction that keeps the dv walker
+#: off its batched path.
+CHARGE = st.one_of(st.integers(0, 40),
+                   st.sampled_from((0.5, 1.5, 2.25, 27.7, 30.1)))
+
+
+def _charged(data, enforce):
+    """The default config, enforced or not, with domain_virt's PTLB
+    access charge and the WRPKRU charge drawn."""
+    config = apply_override(_enforcing(enforce),
+                            "domain_virt.ptlb_access_cycles",
+                            data.draw(CHARGE))
+    return apply_override(config, "mpk.wrpkru_cycles", data.draw(CHARGE))
+
+
 class TestRandomMarks:
     """Marks anywhere, inside runs included, on a served trace, on a
     64-pool micro trace and on random runs over a read-only page, with
-    protection enforced and not."""
+    protection enforced and not; on the first two, charges are integers
+    or fractions."""
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), scheme=st.sampled_from(SCHEMES),
@@ -581,7 +576,7 @@ class TestRandomMarks:
     def test_served_trace(self, storm_trace, data, scheme, enforce):
         _assert_same_outcome(storm_trace, scheme,
                              marks=_marks(data, storm_trace),
-                             config=_enforcing(enforce))
+                             config=_charged(data, enforce))
 
     @settings(max_examples=20, deadline=None)
     @given(data=st.data(), scheme=st.sampled_from(SCHEMES),
@@ -589,7 +584,7 @@ class TestRandomMarks:
     def test_wide_avl_trace(self, wide_avl_trace, data, scheme, enforce):
         _assert_same_outcome(wide_avl_trace, scheme,
                              marks=_marks(data, wide_avl_trace),
-                             config=_enforcing(enforce))
+                             config=_charged(data, enforce))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data(), scheme=st.sampled_from(ENFORCING),
@@ -606,3 +601,26 @@ class TestRandomMarks:
                                           max_size=6)))
         _assert_same_outcome(trace, scheme, marks=marks,
                              config=_enforcing(enforce))
+
+
+class TestDemandPaging:
+    """A page the recording never mapped faults in at its first access,
+    in trace order, under both engines: a SETPERM before that access
+    must not see its PTE (libmpk's ``pkey_mprotect`` counts the mapped
+    ones).  The first replay of a trace builds its radiograph, the
+    second reuses it; both must match the reference."""
+
+    @pytest.mark.parametrize("enforce", (True, False))
+    @pytest.mark.parametrize("scheme", SCHEMES)
+    def test_first_and_second_replay_match_reference(self, scheme,
+                                                      enforce):
+        trace = one_page_trace((("load", 0), ("load", 8)), Perm.NONE,
+                               mapped=False)
+        page = int(trace.columns.operand_a[-1]) >> 12
+        assert page not in {vpn for vpn, *_ in trace.layout.ptes}
+        config = _enforcing(enforce)
+        ref = _outcome(ReferenceEngine, trace, scheme, config, None)
+        first = _outcome(FastReplayEngine, trace, scheme, config, None)
+        second = _outcome(FastReplayEngine, trace, scheme, config, None)
+        assert first == ref
+        assert second == ref

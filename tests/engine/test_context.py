@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.schemes import NullProtection, scheme_by_name
-from repro.cpu.fast_timing import make_replay_engine
+from repro.cpu.fast_timing import FastReplayEngine
 from repro.engine import ReplayContext, replay_one
 from repro.errors import EngineError
 from repro.mem.memory import NVM_FRAME_BASE
@@ -21,13 +21,13 @@ def _replay_shared(trace, workspace, names, config, include_baseline):
     """
     kernel, process = workspace.kernel, workspace.process
     results = {}
-    baseline = make_replay_engine(config, kernel, process,
-                                  NullProtection).run(trace)
+    baseline = FastReplayEngine(config, kernel, process,
+                                NullProtection).run(trace)
     if include_baseline:
         results["baseline"] = baseline
     for name in names:
-        engine = make_replay_engine(config, kernel, process,
-                                    scheme_by_name(name))
+        engine = FastReplayEngine(config, kernel, process,
+                                  scheme_by_name(name))
         stats = engine.run(trace)
         stats.baseline_cycles = baseline.cycles
         results[name] = stats

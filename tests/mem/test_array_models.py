@@ -1,21 +1,23 @@
-"""Model equivalence: array-backed TLB/cache vs the dict reference.
+"""Model equivalence: the array-backed TLB/cache vs the dict reference.
 
-``ArrayTLBLevel``/``ArrayTwoLevelTLB`` and ``ArrayCacheLevel``/
-``ArrayCacheHierarchy`` are drop-in replacements built for the fast
-replay kernels; they must make the *same decisions* (hit/miss, victim
-choice, invalidation counts) as the OrderedDict reference models on any
-operation sequence.  These tests drive both models with identical
-randomized sequences and diff every observable after every step.
+The replay engine's flat-array models (``repro.mem.tlb.TLBLevel``/
+``TwoLevelTLB`` and ``repro.mem.cache.CacheLevel``/``CacheHierarchy``)
+must make the *same decisions* (hit/miss, victim choice, invalidation
+counts) as the reference interpreter's OrderedDict models
+(``tests/oracle.py``) on any operation sequence.  These tests drive
+both models with identical randomized sequences and diff every
+observable after every step.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.mem.cache import (ArrayCacheHierarchy, ArrayCacheLevel,
-                             CacheHierarchy, CacheLevel)
-from repro.mem.tlb import (ArrayTLBLevel, ArrayTwoLevelTLB, TLBEntry,
-                           TLBLevel, TwoLevelTLB)
+from repro.mem.cache import CacheHierarchy, CacheLevel
+from repro.mem.tlb import TLBEntry, TLBLevel, TwoLevelTLB
 from repro.permissions import Perm
+
+from ..oracle import (DictCacheHierarchy, DictCacheLevel, DictTLBLevel,
+                      DictTwoLevelTLB, cache_access)
 
 
 def _entry(vpn, pkey=0, domain=0):
@@ -37,8 +39,8 @@ class TestArrayTLBLevelEquivalence:
     @settings(max_examples=60, deadline=None)
     @given(ops=_TLB_OPS)
     def test_matches_reference(self, ops):
-        ref = TLBLevel(16, 4)
-        arr = ArrayTLBLevel(16, 4)
+        ref = DictTLBLevel(16, 4)
+        arr = TLBLevel(16, 4)
         for op, x in ops:
             if op == "fill":
                 e = _entry(x, pkey=x % 5, domain=x % 3)
@@ -64,8 +66,8 @@ class TestArrayTLBLevelEquivalence:
         assert sorted(e.vpn for e in ref) == sorted(e.vpn for e in arr)
 
     def test_lru_victim_matches_after_touch(self):
-        ref = TLBLevel(4, 4)
-        arr = ArrayTLBLevel(4, 4)
+        ref = DictTLBLevel(4, 4)
+        arr = TLBLevel(4, 4)
         for vpn in range(4):
             ref.fill(_entry(vpn))
             arr.fill(_entry(vpn))
@@ -74,8 +76,8 @@ class TestArrayTLBLevelEquivalence:
         assert ref.fill(_entry(99)).vpn == arr.fill(_entry(99)).vpn == 1
 
     def test_refill_existing_vpn_updates_in_place(self):
-        ref = TLBLevel(4, 4)
-        arr = ArrayTLBLevel(4, 4)
+        ref = DictTLBLevel(4, 4)
+        arr = TLBLevel(4, 4)
         for level in (ref, arr):
             assert level.fill(_entry(1, pkey=2)) is None
             assert level.fill(_entry(1, pkey=7)) is None
@@ -90,10 +92,10 @@ class TestArrayTwoLevelEquivalence:
                   st.integers(min_value=0, max_value=60)),
         max_size=150))
     def test_matches_reference(self, ops):
-        ref = TwoLevelTLB(l1_entries=8, l1_ways=4, l2_entries=24,
+        ref = DictTwoLevelTLB(l1_entries=8, l1_ways=4, l2_entries=24,
+                              l2_ways=6)
+        arr = TwoLevelTLB(l1_entries=8, l1_ways=4, l2_entries=24,
                           l2_ways=6)
-        arr = ArrayTwoLevelTLB(l1_entries=8, l1_ways=4, l2_entries=24,
-                               l2_ways=6)
         for op, x in ops:
             if op == "access":
                 re, rl = ref.lookup(x)
@@ -117,8 +119,8 @@ class TestArrayCacheEquivalence:
     @given(lines=st.lists(st.integers(min_value=0, max_value=64),
                           max_size=200))
     def test_level_matches_reference(self, lines):
-        ref = CacheLevel(8 * 64, 4, latency=1)
-        arr = ArrayCacheLevel(8 * 64, 4, latency=1)
+        ref = DictCacheLevel(8 * 64, 4, latency=1)
+        arr = CacheLevel(8 * 64, 4, latency=1)
         for line in lines:
             assert ref.lookup(line) == arr.lookup(line)
             assert ref.fill(line) == arr.fill(line)
@@ -133,11 +135,11 @@ class TestArrayCacheEquivalence:
     def test_hierarchy_matches_reference(self, addrs, mem_latency):
         geometry = dict(l1_size=8 * 64, l1_ways=4, l1_latency=1,
                         l2_size=32 * 64, l2_ways=8, l2_latency=8)
-        ref = CacheHierarchy(**geometry)
-        arr = ArrayCacheHierarchy(**geometry)
+        ref = DictCacheHierarchy(**geometry)
+        arr = CacheHierarchy(**geometry)
         for addr in addrs:
             assert ref.access(addr, mem_latency) == \
-                arr.access(addr, mem_latency)
+                cache_access(arr, addr, mem_latency)
         assert (ref.l1.hits, ref.l1.misses) == (arr.l1.hits, arr.l1.misses)
         assert (ref.l2.hits, ref.l2.misses) == (arr.l2.hits, arr.l2.misses)
         assert ref.mem_accesses == arr.mem_accesses

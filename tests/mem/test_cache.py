@@ -4,6 +4,8 @@ import pytest
 
 from repro.mem.cache import LINE_SIZE, CacheHierarchy, CacheLevel
 
+from ..oracle import cache_access
+
 
 class TestCacheLevel:
     def test_miss_then_hit(self):
@@ -38,44 +40,47 @@ class TestCacheLevel:
 
 
 class TestCacheHierarchy:
+    """The production levels, driven through the reference
+    interpreter's per-access path (``tests/oracle.py``)."""
+
     def make(self):
         return CacheHierarchy(l1_size=1 << 10, l1_ways=4, l1_latency=1,
                               l2_size=1 << 14, l2_ways=4, l2_latency=8)
 
     def test_cold_miss_pays_memory_latency(self):
         caches = self.make()
-        assert caches.access(0x1000, 360) == 1 + 8 + 360
+        assert cache_access(caches, 0x1000, 360) == 1 + 8 + 360
 
     def test_second_access_is_l1_hit(self):
         caches = self.make()
-        caches.access(0x1000, 360)
-        assert caches.access(0x1000, 360) == 1
+        cache_access(caches, 0x1000, 360)
+        assert cache_access(caches, 0x1000, 360) == 1
 
     def test_same_line_shares_hit(self):
         caches = self.make()
-        caches.access(0x1000, 120)
-        assert caches.access(0x1000 + LINE_SIZE - 1, 120) == 1
+        cache_access(caches, 0x1000, 120)
+        assert cache_access(caches, 0x1000 + LINE_SIZE - 1, 120) == 1
 
     def test_l2_hit_after_l1_eviction(self):
         caches = self.make()
-        caches.access(0x0, 120)
+        cache_access(caches, 0x0, 120)
         # Evict line 0 from tiny L1 with 4 conflicting lines (same L1 set,
         # different L2 sets is fine: L2 is bigger).
         n_l1_sets = caches.l1.n_sets
         for i in range(1, 5):
-            caches.access(i * n_l1_sets * LINE_SIZE, 120)
-        latency = caches.access(0x0, 120)
+            cache_access(caches, i * n_l1_sets * LINE_SIZE, 120)
+        latency = cache_access(caches, 0x0, 120)
         assert latency == 1 + 8  # L2 hit
 
     def test_memory_access_counter(self):
         caches = self.make()
-        caches.access(0x0, 120)
-        caches.access(0x0, 120)
-        caches.access(0x40000, 120)
+        cache_access(caches, 0x0, 120)
+        cache_access(caches, 0x0, 120)
+        cache_access(caches, 0x40000, 120)
         assert caches.mem_accesses == 2
 
     def test_dram_vs_nvm_latency_passthrough(self):
         caches = self.make()
-        dram = caches.access(0x10000, 120)
-        nvm = caches.access(0x20000, 360)
+        dram = cache_access(caches, 0x10000, 120)
+        nvm = cache_access(caches, 0x20000, 360)
         assert nvm - dram == 240

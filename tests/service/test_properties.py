@@ -6,8 +6,9 @@ randomly drawn :class:`ServiceParams`.
 * every batch serves a single client on a worker slot in range;
 * at one worker, ``account`` and ``account_sharded`` over
   ``shard_by_worker`` agree bit for bit;
-* the fast replay engine reproduces the reference interpreter bit for
-  bit on the served trace, marks included, for every scheme it covers.
+* the replay engine reproduces the reference interpreter
+  (``tests/oracle.py``) bit for bit on the served trace, marks
+  included, for every registered scheme.
 """
 
 import dataclasses
@@ -19,13 +20,14 @@ from hypothesis import strategies as st
 
 from repro.core.schemes import available_schemes, scheme_by_name
 from repro.cpu.fast_timing import FastReplayEngine, supports_fast_replay
-from repro.cpu.timing import ReplayEngine
 from repro.engine import ReplayContext, replay_one
 from repro.service import (CalibratedClock, ServiceParams, account,
                            account_sharded, batch_boundaries, build_plan,
                            shard_by_worker)
 from repro.service.server import ServiceWorkload
 from repro.sim.config import DEFAULT_CONFIG
+
+from ..oracle import ReferenceEngine
 
 FREQ = DEFAULT_CONFIG.processor.frequency_hz
 #: A fixed stand-in for a scheme-calibrated clock, so closed-feedback
@@ -137,7 +139,7 @@ def replay_under(engine_class, trace, scheme, marks):
 
 def assert_fast_is_reference(trace, scheme):
     marks = batch_boundaries(trace)
-    ref = replay_under(ReplayEngine, trace, scheme, marks)
+    ref = replay_under(ReferenceEngine, trace, scheme, marks)
     fast = replay_under(FastReplayEngine, trace, scheme, marks)
     if isinstance(ref, tuple):
         assert ref == fast

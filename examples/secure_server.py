@@ -23,8 +23,8 @@ Run:  python examples/secure_server.py      (REPRO_SMOKE=1 shrinks it)
 from repro.engine import Engine, WorkloadSpec
 from repro.errors import PkeyError, ProtectionFault
 from repro.scenario import smoke_active
-from repro.service import (ServiceParams, ServiceWorkload, account,
-                           batch_boundaries, build_plan)
+from repro.service import (ServiceParams, ServiceWorkload, account_sharded,
+                           build_plan, shard_by_worker)
 from repro.sim.simulator import replay_trace
 
 SMOKE = smoke_active()
@@ -70,10 +70,9 @@ def main() -> None:
     # latency — the serving view of Table VII's overheads.
     engine = Engine()
     spec = WorkloadSpec.service(n_clients=N_CLIENTS, n_requests=N_REQUESTS)
-    honest = engine.trace_for(spec)
-    marks = batch_boundaries(honest)
     schemes = ("lowerbound", "mpk_virt", "domain_virt")
-    cell = engine.replay(spec, schemes, marks=marks)
+    cell = engine.replay_served([(spec, schemes)])[0]
+    shards = shard_by_worker(engine.trace_for(spec))
     frequency = engine.config.processor.frequency_hz
     print(f"\n{plan.n_served} requests served across {N_CLIENTS} isolated "
           f"clients ({plan.coalesced} coalesced into shared windows, "
@@ -81,9 +80,9 @@ def main() -> None:
     print(f"  {'scheme':12s} {'overhead':>9s} {'p50':>9s} {'p99':>9s} "
           f"{'throughput':>12s}")
     for name in schemes:
-        stats = cell[name]
-        summary = account(plan, honest, stats, frequency_hz=frequency)
-        print(f"  {name:12s} {stats.overhead_percent():8.2f}% "
+        summary = account_sharded(plan, shards, cell[name],
+                                  frequency_hz=frequency)
+        print(f"  {name:12s} {summary.stats.overhead_percent():8.2f}% "
               f"{summary.p50:9.0f} {summary.p99:9.0f} "
               f"{summary.throughput_rps:10.0f}/s")
 

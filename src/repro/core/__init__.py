@@ -1,8 +1,9 @@
 """The paper's core contribution: domain-based PMO protection schemes."""
 
-# permissions and plru first: they are leaf modules other packages import
-# while this package is still initializing.
-from .permissions import Perm, check_access, parse_perm, strictest
+# plru first: a leaf module other packages import while this package is
+# still initializing.  The permission lattice is the leaf module
+# repro.permissions; this package re-exports it.
+from ..permissions import Perm, check_access, parse_perm, strictest
 from .plru import PseudoLRU, TrueLRU
 
 from .domain_virt import DomainVirtScheme

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from .dtt import NO_KEY, DTTEntry
-from .permissions import Perm
+from ..permissions import Perm
 from .plru import PseudoLRU
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .permissions import Perm
+from ..permissions import Perm
 from .plru import PseudoLRU
 
 

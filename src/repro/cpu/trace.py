@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..core.permissions import Perm
+from ..permissions import Perm
 from ..errors import TraceError
 from ..os.address_space import VMA
 

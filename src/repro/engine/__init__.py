@@ -4,7 +4,8 @@ parallel replay.
 Layering (bottom up):
 
 * :mod:`repro.engine.job` — :class:`WorkloadSpec` / :class:`ReplayJob`,
-  pure picklable descriptions with stable content hashes;
+  pure picklable descriptions (a spec's stable content hash keys the
+  trace cache);
 * :mod:`repro.engine.cache` — :class:`TraceCache`, the two-layer
   (memory + ``REPRO_TRACE_CACHE`` disk) trace store;
 * :mod:`repro.engine.context` — :class:`ReplayContext`, isolated replay

@@ -31,7 +31,7 @@ from ..sim.config import DEFAULT_CONFIG, SimConfig
 from ..sim.stats import RunStats
 from .cache import CacheStats, TraceCache
 from .executor import parallel_map, replay_cells, worker_count
-from .job import BASELINE, WorkloadSpec, scheme_cell
+from .job import BASELINE, ReplayJob, WorkloadSpec, scheme_cell
 
 
 def _warm_spec(item: Tuple[WorkloadSpec, Optional[str]]):
@@ -150,82 +150,61 @@ class Engine:
                              for spec, config in cells], jobs=self.jobs)
 
     def replay(self, spec: WorkloadSpec, schemes: Iterable[str],
-               config: Optional[SimConfig] = None, *,
-               marks: Optional[Sequence[int]] = None,
-               include_baseline: bool = True) -> Dict[str, RunStats]:
-        """Replay one spec under the baseline plus each named scheme.
+               config: Optional[SimConfig] = None) -> Dict[str, RunStats]:
+        """Replay one spec under the baseline plus each named scheme."""
+        return self.replay_grid([(spec, config or self.config)], schemes)[0]
 
-        With ``marks`` every returned :class:`RunStats` additionally
-        carries ``mark_cycles`` — the cycle clock at each marked event
-        index; the service layer turns one marked replay into per-batch
-        completion times.  ``include_baseline=False`` runs no baseline
-        job, so no result has ``baseline_cycles``.
-        """
-        self.warm([spec])
-        if marks is not None:
-            marks = tuple(int(mark) for mark in marks)
-        names = (BASELINE, *schemes) if include_baseline else tuple(schemes)
-        return replay_cells([scheme_cell(
-            names, spec=spec, config=config or self.config,
-            cache_root=self._root_token(), marks=marks)], jobs=self.jobs)[0]
-
-    def replay_shards(self, shards: Sequence, schemes: Iterable[str],
+    def replay_served(self, cells: Sequence[Tuple[WorkloadSpec,
+                                                  Iterable[str]]],
                       config: Optional[SimConfig] = None, *,
                       include_baseline: bool = True
-                      ) -> Dict[str, List[RunStats]]:
-        """Replay per-worker trace shards — one simulated core each.
+                      ) -> List[Dict[str, List[RunStats]]]:
+        """Replay served traces shard by shard, every cell in one grid.
 
-        ``shards`` is the slot-ordered output of
-        :func:`repro.service.shard.shard_by_worker`.  Each shard is one
-        cell: every scheme (plus the baseline) replays it with that
-        shard's own marks, and the whole (shard x scheme) grid fans out
-        over the fork executor — a 64-worker service run is a 64-way
-        parallel replay.  Returns ``scheme -> [RunStats per slot, slot
-        order]`` with each shard's ``baseline_cycles`` wired from the
-        same slot's baseline replay.  Schemes see
-        ``n_cores = len(shards)``, which is what turns MPKV/libmpk
-        key-remap invalidations into attributed cross-core shootdown
-        broadcasts (``docs/MULTICORE.md``).
+        ``cells`` holds ``(spec, schemes)`` pairs of service specs.  Each
+        spec's trace splits into per-worker-slot shards
+        (:func:`repro.service.shard.shard_by_worker`); every scheme (plus
+        the baseline, unless ``include_baseline`` is false) replays every
+        shard with that shard's own marks, and the (shard x scheme) jobs
+        of all cells fan out over the executor as one batch.  A one-slot
+        trace is its own shard: its jobs name the spec and load the
+        trace through the cache, so nothing is pickled.  Several shards
+        carry their traces and see ``n_cores = len(shards)``, which turns
+        MPKV/libmpk key-remap invalidations into attributed cross-core
+        shootdown broadcasts (``docs/MULTICORE.md``).
+
+        Returns one ``scheme -> [RunStats per slot, slot order]`` dict
+        per cell, each slot's ``baseline_cycles`` wired from the same
+        slot's baseline replay.
         """
+        from ..service.shard import shard_by_worker
         config = config or self.config
-        shards = list(shards)
-        names = (BASELINE, *schemes) if include_baseline else tuple(schemes)
-        grid = [scheme_cell(names, spec=None, trace=shard.trace,
-                            config=config,
-                            marks=tuple(int(m) for m in shard.marks),
-                            n_cores=len(shards))
-                for shard in shards]
-        cells = replay_cells(grid, jobs=self.jobs)
-        return {job.scheme: [cell[job.scheme] for cell in cells]
-                for job in grid[0]}
-
-    def replay_marked_keyed(self, spec: WorkloadSpec,
-                            schemes: Iterable[str],
-                            config: Optional[SimConfig] = None, *,
-                            include_baseline: bool = True
-                            ) -> Dict[str, RunStats]:
-        """Scheme-keyed marked replay: one spec *variant* per scheme.
-
-        ``dispatch="replay"`` service runs schedule per scheme, so each
-        scheme replays its own ``spec.keyed(scheme)`` trace with marks
-        derived from *that* trace's batch boundaries.  Each variant is
-        one cell: with ``include_baseline`` it is also replayed under
-        the baseline scheme (on the variant's own schedule) to wire up
-        ``baseline_cycles``.  Unlike :meth:`replay` there is no shared
-        ``"baseline"`` entry in the result — each scheme's baseline
-        belongs to its own schedule.
-        """
-        from ..service.server import batch_boundaries
-        config = config or self.config
-        variants = {name: spec.keyed(name) for name in dict.fromkeys(schemes)}
-        self.warm(list(variants.values()))
+        self.warm([spec for spec, _ in cells])
         root = self._root_token()
-        cells = replay_cells([scheme_cell(
-            (BASELINE, name) if include_baseline else (name,),
-            spec=vspec, config=config, cache_root=root,
-            marks=tuple(batch_boundaries(self.trace_for(vspec))))
-            for name, vspec in variants.items()], jobs=self.jobs)
-        return {name: cell[name] for name, cell in zip(variants, cells)}
+        grid: List[List[ReplayJob]] = []
+        layout: List[Tuple[Tuple[str, ...], int]] = []
+        for spec, schemes in cells:
+            names = (BASELINE, *schemes) if include_baseline \
+                else tuple(schemes)
+            shards = shard_by_worker(self.trace_for(spec))
+            if len(shards) == 1:
+                grid.append(scheme_cell(names, spec=spec, config=config,
+                                        cache_root=root,
+                                        marks=tuple(shards[0].marks)))
+            else:
+                grid.extend(scheme_cell(names, spec=None, trace=shard.trace,
+                                        config=config,
+                                        marks=tuple(shard.marks),
+                                        n_cores=len(shards))
+                            for shard in shards)
+            layout.append((names, len(shards)))
+        slots = iter(replay_cells(grid, jobs=self.jobs))
+        out: List[Dict[str, List[RunStats]]] = []
+        for names, n_slots in layout:
+            cell = [next(slots) for _ in range(n_slots)]
+            out.append({name: [slot[name] for slot in cell]
+                        for name in names})
+        return out
 
     # -- derived-result memoization ---------------------------------------------------
 

@@ -22,16 +22,10 @@ from ..cpu.trace import Trace
 from ..errors import EngineError
 from ..sim.config import DEFAULT_CONFIG, SimConfig
 from ..workloads.base import Workspace
-from ..workloads.families import workload_by_name, workload_names
+from ..workloads.families import workload_by_name
 
 #: The unprotected replay every scheme's overhead is measured against.
 BASELINE = "baseline"
-
-
-def suite_names() -> Tuple[str, ...]:
-    """Suites the engine knows how to generate (the workload-family
-    registry's names; plugins extend it — see ``docs/SCENARIOS.md``)."""
-    return tuple(workload_names())
 
 
 def _canonical(document) -> bytes:
@@ -170,9 +164,7 @@ class ReplayJob:
 
     The trace is named by ``spec`` and loaded through the trace cache,
     or carried as ``trace`` when it has no cache identity (a shard of
-    a service trace, a trace recorded by the caller).  ``cache_root``
-    is placement, not content (same job, different cache directory), so
-    it is excluded from :meth:`content_hash`.
+    a service trace, a trace recorded by the caller).
     """
 
     spec: Optional[WorkloadSpec]
@@ -195,18 +187,6 @@ class ReplayJob:
     @property
     def label(self) -> str:
         return self.spec.label if self.trace is None else self.trace.label
-
-    def content_hash(self) -> str:
-        """Stable identity over spec + scheme + full configuration
-        (spec jobs only)."""
-        document = {"spec": self.spec.describe(),
-                    "scheme": self.scheme,
-                    "config": dataclasses.asdict(self.config)}
-        if self.marks is not None:
-            # Only marked jobs carry the key, so unmarked hashes are
-            # unchanged from before marks existed.
-            document["marks"] = list(self.marks)
-        return _digest(document)
 
 
 def scheme_cell(schemes: Iterable[str], **fields) -> List[ReplayJob]:

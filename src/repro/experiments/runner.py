@@ -104,11 +104,6 @@ class ExperimentRunner:
         return self.engine.replay(self.micro_spec(benchmark, n_pools),
                                   schemes, self.config)
 
-    def replay_whisper(self, benchmark: str,
-                       schemes: Iterable[str]) -> Dict[str, RunStats]:
-        return self.engine.replay(self.whisper_spec(benchmark), schemes,
-                                  self.config)
-
     def drop_micro_trace(self, benchmark: str, n_pools: int) -> None:
         """Free a cached trace (the 1024-PMO traces are large)."""
         self.engine.release(self.micro_spec(benchmark, n_pools))

@@ -48,9 +48,8 @@ from ..errors import PkeyError
 from ..registry import RegistryKeyError
 from ..scenario import Scenario, compile_scenario, smoke_active
 from ..scenario.spec import ScenarioError
-from ..service import (ServiceSummary, account, account_sharded,
-                       batch_boundaries, build_plan, build_plan_keyed,
-                       shard_by_worker)
+from ..service import (ServiceSummary, account_sharded, build_plan,
+                       build_plan_keyed, shard_by_worker)
 from .reporting import format_table
 from .runner import ExperimentRunner
 
@@ -69,120 +68,6 @@ SMOKE_CLIENTS = (6, 12)
 SMOKE_REQUESTS = 160
 
 
-def _accounted(engine, spec, plan, trace, canonical, config, frequency, *,
-               include_baseline=True):
-    """Replay canonical scheme names over one plan/trace and account them.
-
-    With one worker this is the classic path — one marked replay of the
-    whole trace per scheme.  With more, the trace splits into one shard
-    per worker slot (:func:`~repro.service.shard.shard_by_worker`), each
-    replaying on its own simulated core, and the per-shard results merge
-    back through :func:`~repro.service.latency.account_sharded` — the
-    path where MPKV/libmpk accrue cross-core shootdown attribution
-    (``docs/MULTICORE.md``).
-    """
-    if max(1, spec.params.workers) > 1:
-        shards = shard_by_worker(trace)
-        cell = engine.replay_shards(shards, canonical, config,
-                                    include_baseline=include_baseline)
-        return {name: account_sharded(plan, shards, cell[name],
-                                      frequency_hz=frequency)
-                for name in canonical}
-    cell = engine.replay(spec, canonical, config,
-                         marks=batch_boundaries(trace),
-                         include_baseline=include_baseline)
-    return {name: account(plan, trace, cell[name], frequency_hz=frequency)
-            for name in canonical}
-
-
-def _fragile(names: Sequence[str]) -> List[str]:
-    """Names of hard-limited schemes (descriptor ``collapse="fault"``).
-
-    These fault once the trace's domains outrun their key space, so
-    they always replay separately — one wall must not kill the batch.
-    """
-    return [n for n in names if hard_domain_limit(n) is not None]
-
-
-def _summaries_nominal(engine, spec, names, config, frequency):
-    """One shared schedule/trace, every scheme re-timed onto it."""
-    plan = build_plan(spec.params)
-    trace = engine.trace_for(spec)
-    row: Dict[str, Optional[ServiceSummary]] = {}
-    fragile = _fragile(names)
-    sturdy = [n for n in names if n not in fragile]
-    if sturdy:
-        cell = _accounted(engine, spec, plan, trace,
-                          [resolve_scheme(n) for n in sturdy], config,
-                          frequency)
-        for name in sturdy:
-            row[name] = cell[resolve_scheme(name)]
-    for name in fragile:
-        canonical = resolve_scheme(name)
-        try:
-            cell = _accounted(engine, spec, plan, trace, [canonical],
-                              config, frequency, include_baseline=False)
-            row[name] = cell[canonical]
-        except PkeyError:
-            row[name] = None
-    engine.release(spec)
-    return row
-
-
-def _summaries_keyed(engine, spec, names, config, frequency):
-    """One schedule/trace *per scheme* (``dispatch="replay"``)."""
-    row: Dict[str, Optional[ServiceSummary]] = {}
-    fragile = _fragile(names)
-    sturdy = [n for n in names if n not in fragile]
-
-    if max(1, spec.params.workers) > 1:
-        # Sharded replay goes variant by variant: each scheme's keyed
-        # trace splits into its own per-worker shards.
-        def keyed_sharded(name: str) -> ServiceSummary:
-            canonical = resolve_scheme(name)
-            vspec = spec.keyed(canonical)
-            plan = build_plan_keyed(spec.params, canonical)
-            cell = _accounted(engine, vspec, plan, engine.trace_for(vspec),
-                              [canonical], config, frequency)
-            engine.release(vspec)
-            return cell[canonical]
-
-        for name in sturdy:
-            row[name] = keyed_sharded(name)
-        for name in fragile:
-            try:
-                row[name] = keyed_sharded(name)
-            except PkeyError:
-                row[name] = None
-        return row
-
-    def account_keyed(name: str, stats) -> ServiceSummary:
-        canonical = resolve_scheme(name)
-        vspec = spec.keyed(canonical)
-        plan = build_plan_keyed(spec.params, canonical)
-        summary = account(plan, engine.trace_for(vspec), stats,
-                          frequency_hz=frequency)
-        engine.release(vspec)
-        return summary
-
-    if sturdy:
-        cell = engine.replay_marked_keyed(
-            spec, [resolve_scheme(n) for n in sturdy], config)
-        for name in sturdy:
-            row[name] = account_keyed(name, cell[resolve_scheme(name)])
-    for name in fragile:
-        # The calibration replay itself hits the key wall, so the
-        # failure surfaces at trace generation rather than replay.
-        canonical = resolve_scheme(name)
-        try:
-            cell = engine.replay_marked_keyed(spec, [canonical], config,
-                                              include_baseline=False)
-            row[name] = account_keyed(name, cell[canonical])
-        except PkeyError:
-            row[name] = None
-    return row
-
-
 def summaries_for_spec(runner: ExperimentRunner, spec, names: Sequence[str],
                        *, config=None
                        ) -> Dict[str, Optional[ServiceSummary]]:
@@ -193,13 +78,55 @@ def summaries_for_spec(runner: ExperimentRunner, spec, names: Sequence[str],
     ``pks``) and key the result as given.  ``None`` marks a scheme that
     cannot run at this client count (a hard-limited scheme — ``mpk``,
     ``erim`` — beyond its key space).
+
+    Every scheme replays its trace's per-worker shards through
+    :meth:`~repro.engine.core.Engine.replay_served` and is accounted by
+    :func:`~repro.service.latency.account_sharded`; one worker's shard
+    is the trace itself.  Nominal dispatch shares one schedule/trace
+    across schemes; ``dispatch="replay"`` gives each scheme its own
+    (``spec.keyed(scheme)``).  The sturdy schemes replay as one grid
+    with baselines; each hard-limited one (descriptor
+    ``collapse="fault"``) replays alone without a baseline, so one key
+    wall cannot kill the batch.  Under keyed dispatch the wall surfaces
+    before any replay: the scheme's dispatch clock refuses the client
+    count while its trace is generated.
     """
     config = config or runner.config
     frequency = config.processor.frequency_hz
-    summaries = _summaries_keyed if spec.params.dispatch == "replay" \
-        else _summaries_nominal
-    return summaries(runner.engine, spec, list(dict.fromkeys(names)),
-                     config, frequency)
+    engine = runner.engine
+    keyed = spec.params.dispatch == "replay"
+    canonical = {name: resolve_scheme(name) for name in names}
+    variants = {scheme: spec.keyed(scheme) if keyed else spec
+                for scheme in canonical.values()}
+    nominal = None if keyed else build_plan(spec.params)
+    summaries: Dict[str, Optional[ServiceSummary]] = {}
+
+    def serve(schemes: List[str], include_baseline: bool) -> None:
+        cells = [(variants[scheme], [scheme]) for scheme in schemes] \
+            if keyed else [(spec, schemes)]
+        results = engine.replay_served(cells, config,
+                                       include_baseline=include_baseline)
+        for (vspec, cell_schemes), result in zip(cells, results):
+            shards = shard_by_worker(engine.trace_for(vspec))
+            for scheme in cell_schemes:
+                plan = build_plan_keyed(spec.params, scheme) if keyed \
+                    else nominal
+                summaries[scheme] = account_sharded(
+                    plan, shards, result[scheme], frequency_hz=frequency)
+
+    sturdy = [scheme for scheme in variants
+              if hard_domain_limit(scheme) is None]
+    if sturdy:
+        serve(sturdy, include_baseline=True)
+    for scheme in variants:
+        if scheme not in sturdy:
+            try:
+                serve([scheme], include_baseline=False)
+            except PkeyError:
+                summaries[scheme] = None
+    for vspec in set(variants.values()):
+        engine.release(vspec)
+    return {name: summaries[canonical[name]] for name in names}
 
 
 def scenario_document(clients: Sequence[int], schemes: Sequence[str],
@@ -375,8 +302,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              "SLO-attainment column (0 = no SLO)")
     parser.add_argument("--workers", type=int, default=None,
                         help="worker threads serving batches")
-    parser.add_argument("--arrival", choices=("open", "closed"),
-                        default=None, help=argparse.SUPPRESS)  # legacy alias
     parser.add_argument("--batching", choices=("none", "client"),
                         default=None, help="batching policy")
     parser.add_argument("--seed", type=int, default=None,
@@ -385,9 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     overrides = {}
     if args.requests is not None:
         overrides["n_requests"] = args.requests
-    loop = args.loop or args.arrival
-    if loop is not None:
-        overrides["arrival"] = loop
+    if args.loop is not None:
+        overrides["arrival"] = args.loop
         if args.loop == "closed" and args.dispatch is None:
             overrides["dispatch"] = "replay"
     if args.dispatch is not None:

@@ -83,9 +83,6 @@ class PageTable:
         l1, l2, l3, l4 = _indexes(vpn)
         self._root[l1][l2][l3].pop(l4, None)
 
-    def is_mapped(self, vpn: int) -> bool:
-        return vpn in self._flat
-
     def get(self, vpn: int) -> Optional[PTE]:
         """O(1) lookup without touching walk statistics."""
         return self._flat.get(vpn)

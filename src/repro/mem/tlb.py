@@ -7,9 +7,10 @@ virtualization, which extends each entry by 6 bits — Table VIII).
 
 The MPK-virtualization design must invalidate TLB entries when a key is
 remapped to a different domain (``Range_Flush`` of the victim PMO's VA
-range); :meth:`TLBLevel.invalidate_range` and
-:meth:`TwoLevelTLB.range_flush` implement that, returning how many entries
-died so the harness can attribute the re-miss cost to invalidations.
+range).  Every entry of a PMO carries its domain ID, so
+:meth:`TwoLevelTLB.domain_flush` implements that as a flush of the victim
+domain in both levels, returning how many entries died so the harness
+can attribute the re-miss cost to invalidations.
 """
 
 from __future__ import annotations
@@ -138,11 +139,6 @@ class TLBLevel:
         self._age += 1
         return self.entry_for(self.recs[slot])
 
-    def peek(self, vpn: int) -> Optional[TLBEntry]:
-        """Lookup without touching LRU state or statistics."""
-        slot = self.slot_of.get(vpn)
-        return None if slot is None else self.entry_for(self.recs[slot])
-
     def fill(self, entry: TLBEntry) -> Optional[TLBEntry]:
         """Insert an entry; returns the evicted victim, if any."""
         victim = self.fill_rec(self.rec_for(entry))
@@ -188,23 +184,6 @@ class TLBLevel:
                 count += 1
         return count
 
-    def invalidate_range(self, start_vpn: int, n_pages: int) -> int:
-        """Invalidate all entries translating pages in the VA range."""
-        end = start_vpn + n_pages
-        doomed = [vpn for vpn in self.slot_of if start_vpn <= vpn < end]
-        for vpn in doomed:
-            self._drop_slot(vpn, self.slot_of.pop(vpn))
-        return len(doomed)
-
-    def invalidate_pkey(self, pkey: int) -> int:
-        """Invalidate all entries tagged with a protection key."""
-        recs = self.recs
-        doomed = [vpn for vpn, slot in self.slot_of.items()
-                  if recs[slot][3] == pkey]
-        for vpn in doomed:
-            self._drop_slot(vpn, self.slot_of.pop(vpn))
-        return len(doomed)
-
     # -- introspection --------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -246,15 +225,6 @@ class TwoLevelTLB:
 
     def invalidate_all(self) -> int:
         return self.l1.invalidate_all() + self.l2.invalidate_all()
-
-    def range_flush(self, start_vpn: int, n_pages: int) -> int:
-        """Range invalidation of a PMO's VA range (both levels)."""
-        return (self.l1.invalidate_range(start_vpn, n_pages)
-                + self.l2.invalidate_range(start_vpn, n_pages))
-
-    def pkey_flush(self, pkey: int) -> int:
-        """Invalidate every entry carrying ``pkey`` (both levels)."""
-        return self.l1.invalidate_pkey(pkey) + self.l2.invalidate_pkey(pkey)
 
     def domain_flush(self, domain: int) -> int:
         """Invalidate every entry of one domain — the fast path for the

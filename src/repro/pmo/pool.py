@@ -24,7 +24,7 @@ from ..errors import (InvalidOIDError, PermissionDeniedError, PoolClosedError,
                       PoolNotFoundError)
 from ..permissions import Perm
 from .heap import PoolHeap
-from .namespace import Namespace, PoolMeta
+from .namespace import Namespace
 from .oid import NULL_OID, OID
 from .storage import SparseMemory
 
@@ -225,6 +225,3 @@ class PoolManager:
         if not POOL_HEADER_SIZE <= oid.offset < pool.size:
             raise InvalidOIDError(f"{oid!r} points outside pool data area")
         return pool, oid.offset
-
-    def meta_by_id(self, pool_id: int) -> PoolMeta:
-        return self.namespace.by_id(pool_id)

@@ -1,15 +1,18 @@
 """Per-request latency accounting from marked replays.
 
-One marked replay (``Engine.replay`` with ``marks`` from
-:func:`~repro.service.server.batch_boundaries`) yields the elapsed-cycle
-clock at every batch completion under one scheme.  This module re-times
-that replay onto the arrival wall clock and distributes batch
-completions back to individual requests:
+One marked replay (``replay_one`` with ``marks`` from
+:func:`~repro.service.server.batch_boundaries`, or one shard's replay
+from :meth:`~repro.engine.core.Engine.replay_served`) yields the
+elapsed-cycle clock at every batch completion under one scheme.  This
+module re-times that replay onto the arrival wall clock and distributes
+batch completions back to individual requests:
 
-* the replay is a single core executing the scheduled interleaving, so
-  the k-th inter-mark delta ``C_k - C_{k-1}`` is batch k's *service
-  duration* under the scheme (including its share of permission-switch,
-  DTTLB/PTLB and shootdown overhead);
+* a replay is one core executing its scheduled batches (the whole
+  interleaving for :func:`account`, one worker slot's shard for
+  :func:`account_sharded`), so the k-th inter-mark delta
+  ``C_k - C_{k-1}`` is batch k's *service duration* under the scheme
+  (including its share of permission-switch, DTTLB/PTLB and shootdown
+  overhead);
 * the wall clock is kept **per worker slot**: batch k on worker w
   cannot start before that worker is free nor before its members have
   arrived, so its completion is
@@ -298,7 +301,7 @@ def account_sharded(plan: ServicePlan, shards, shard_stats, *,
     ``shards`` is the slot-ordered output of
     :func:`repro.service.shard.shard_by_worker` and ``shard_stats`` the
     slot-aligned :class:`RunStats` list one scheme got back from
-    :meth:`repro.engine.core.Engine.replay_shards`.  Each shard's mark
+    :meth:`repro.engine.core.Engine.replay_served`.  Each shard's mark
     clock runs on its own simulated core, so the k-th inter-mark delta
     of slot w is directly the service duration of that slot's k-th batch
     — the wall-clock recurrence is the same as :func:`account`'s, just

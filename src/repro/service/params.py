@@ -124,7 +124,9 @@ class ServiceParams:
     #: rejected (0 = unbounded queue, nothing is ever rejected).
     max_queue: int = 64
     #: Worker threads serving batches (interleaved by the round-robin
-    #: scheduler when > 1; the simulated machine stays single-core).
+    #: scheduler in the recorded trace when > 1).  Replay splits the
+    #: trace into one shard per worker and runs each on its own
+    #: simulated core (docs/MULTICORE.md).
     workers: int = 1
     #: Batches served per scheduling quantum when ``workers > 1`` (at
     #: least 1).

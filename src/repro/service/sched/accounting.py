@@ -74,23 +74,12 @@ class SchedAccounting:
         self.busy[client] = self.busy.get(client, 0.0) + delta
         self.windows[client] = self.windows.get(client, 0) + 1
 
-    def observe_request(self, client: int, latency_cycles: float,
-                        is_write: bool) -> None:
-        histogram = self.latency.get(client)
-        if histogram is None:
-            histogram = self.latency[client] = Histogram()
-        histogram.observe(latency_cycles)
-        if is_write:
-            self.writes[client] = self.writes.get(client, 0) + 1
-
     def observe_requests(self, clients: np.ndarray, latencies: np.ndarray,
                          writes: np.ndarray) -> None:
         """Fold whole request columns, grouped by client.
 
-        Value-identical to calling :meth:`observe_request` per row in
-        array order: the stable grouping sort preserves each client's
-        sample order, and :meth:`Histogram.observe_many` accumulates
-        with the same sequential additions.
+        The stable grouping sort preserves each client's sample order,
+        so every client's histogram sees its latencies in array order.
         """
         n = int(clients.shape[0])
         if n == 0:

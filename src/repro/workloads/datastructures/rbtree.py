@@ -88,12 +88,6 @@ class PersistentRBTree:
         self._set_child(y, side, x)
         self._set_parent(x, y)
 
-    def _rotate_left(self, x: OID) -> None:
-        self._rotate(x, OFF_LEFT, OFF_RIGHT)
-
-    def _rotate_right(self, x: OID) -> None:
-        self._rotate(x, OFF_RIGHT, OFF_LEFT)
-
     # -- insert ------------------------------------------------------------------------
 
     def insert(self, key: int, value: int) -> None:

@@ -80,7 +80,7 @@ def service_trace():
 def closed_service_trace():
     # A scheme-keyed closed-loop schedule under bursty arrivals — the
     # dispatch-simulation refactor's new trace shape (and the traces
-    # Engine.replay_marked_keyed feeds both engines).
+    # keyed service runs replay).
     from repro.service.closed import generate_service_trace_keyed
     from repro.service.params import ServiceParams
     trace, _ = generate_service_trace_keyed(

@@ -1,13 +1,11 @@
 """Job-model tests: spec/job identity, hashing, and generation dispatch."""
 
-import dataclasses
 import pickle
 
 import pytest
 
 from repro.engine import ReplayJob, WorkloadSpec
 from repro.errors import EngineError
-from repro.sim.config import DEFAULT_CONFIG
 from repro.workloads.micro import MicroParams
 
 
@@ -71,22 +69,3 @@ class TestReplayJob:
                         scheme="domain_virt")
         clone = pickle.loads(pickle.dumps(job))
         assert clone == job
-        assert clone.content_hash() == job.content_hash()
-
-    def test_content_hash_covers_scheme_and_config(self):
-        spec = WorkloadSpec.micro("avl", 16)
-        base = ReplayJob(spec=spec, scheme="mpk_virt")
-        assert base.content_hash() != \
-            ReplayJob(spec=spec, scheme="libmpk").content_hash()
-        slow = DEFAULT_CONFIG.with_overrides(
-            memory=dataclasses.replace(DEFAULT_CONFIG.memory,
-                                       nvm_latency=999))
-        assert base.content_hash() != \
-            ReplayJob(spec=spec, scheme="mpk_virt",
-                      config=slow).content_hash()
-
-    def test_cache_root_is_placement_not_identity(self):
-        spec = WorkloadSpec.micro("avl", 16)
-        a = ReplayJob(spec=spec, scheme="mpk_virt", cache_root="/tmp/a")
-        b = ReplayJob(spec=spec, scheme="mpk_virt", cache_root="/tmp/b")
-        assert a.content_hash() == b.content_hash()

@@ -6,13 +6,12 @@ import signal
 
 import pytest
 
-from repro.engine import Engine, TraceCache, parallel_map, worker_count
+from repro.engine import (Engine, TraceCache, WorkloadSpec, parallel_map,
+                          worker_count)
 from repro.engine.executor import _fork_available
 from repro.errors import EngineError
 from repro.experiments.figure6 import FIGURE6_SCHEMES, run_figure6
 from repro.experiments.runner import ExperimentRunner
-from repro.service import ServiceParams, generate_service_trace, \
-    shard_by_worker
 from repro.sim.simulator import MULTI_PMO_SCHEMES, replay_trace
 from repro.workloads.micro import MicroParams, generate_micro_trace
 
@@ -149,13 +148,22 @@ class TestTraceJobEquivalence:
                 scheme
 
     def test_replay_shards_parallel_equals_serial(self):
-        trace, _ = generate_service_trace(
-            ServiceParams(n_clients=24, n_requests=200, workers=2))
-        shards = shard_by_worker(trace)
+        # One grid holding both job shapes: two trace-carrying shards and
+        # the one-worker trace, which its jobs name by spec.
+        specs = [WorkloadSpec.service(n_clients=24, n_requests=200,
+                                      workers=workers)
+                 for workers in (2, 1)]
         schemes = ("mpk_virt", "libmpk", "domain_virt")
-        serial = Engine(jobs=1).replay_shards(shards, schemes)
-        parallel = Engine(jobs=2).replay_shards(shards, schemes)
-        assert serial.keys() == parallel.keys() == {"baseline", *schemes}
-        for scheme in serial:
-            assert [_replayed(s) for s in serial[scheme]] == \
-                [_replayed(p) for p in parallel[scheme]], scheme
+        cells = [(spec, schemes) for spec in specs]
+        cache = TraceCache("0")
+        serial = Engine(cache=cache, jobs=1).replay_served(cells)
+        parallel = Engine(cache=cache, jobs=2).replay_served(cells)
+        for spec in specs:
+            TraceCache.drop_memory(spec)
+        assert [len(cell["baseline"]) for cell in serial] == [2, 1]
+        for serial_cell, parallel_cell in zip(serial, parallel):
+            assert serial_cell.keys() == parallel_cell.keys() == \
+                {"baseline", *schemes}
+            for scheme in serial_cell:
+                assert [_replayed(s) for s in serial_cell[scheme]] == \
+                    [_replayed(p) for p in parallel_cell[scheme]], scheme

@@ -5,11 +5,10 @@ import pstats
 import pytest
 
 from repro import obs
-from repro.engine import Engine
+from repro.engine import Engine, TraceCache
 from repro.engine.executor import _run_job, profile_dir
 from repro.engine.job import ReplayJob, WorkloadSpec
-from repro.service import ServiceParams, generate_service_trace, \
-    shard_by_worker
+from repro.service import shard_by_worker
 
 
 def _job():
@@ -75,19 +74,20 @@ class TestProfileDump:
                                                         tmp_path):
         # Shard labels read "<label>/shard<k>"; the dumps must still land
         # in the profile directory, one per (shard x scheme) job.
-        trace, _ = generate_service_trace(
-            ServiceParams(n_clients=6, n_requests=60, workers=2))
-        shards = shard_by_worker(trace)
+        spec = WorkloadSpec.service(n_clients=6, n_requests=60, workers=2)
+        engine = Engine(cache=TraceCache("0"), jobs=1)
+        shards = shard_by_worker(engine.trace_for(spec))
         monkeypatch.setenv("REPRO_PROFILE", str(tmp_path))
         monkeypatch.setenv("REPRO_EVENTS", "ring")
         obs.reset()
         try:
-            cell = Engine(jobs=1).replay_shards(shards, ("domain_virt",))
+            [cell] = engine.replay_served([(spec, ("domain_virt",))])
             records = [r for r in obs.active_events().records()
                        if r["kind"] == "job.profile"]
         finally:
             monkeypatch.delenv("REPRO_EVENTS")
             obs.reset()
+            engine.release(spec)
         n_jobs = len(cell) * len(shards)
         assert n_jobs == 4
         dumps = list(tmp_path.iterdir())

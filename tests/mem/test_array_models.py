@@ -29,8 +29,7 @@ def _entry(vpn, pkey=0, domain=0):
 # deliberately tiny VPN space so sets collide and evictions happen.
 _TLB_OPS = st.lists(
     st.tuples(st.sampled_from(["fill", "lookup", "invalidate",
-                               "inv_domain", "inv_pkey", "inv_range",
-                               "inv_all"]),
+                               "inv_domain", "inv_all"]),
               st.integers(min_value=0, max_value=40)),
     max_size=120)
 
@@ -52,12 +51,6 @@ class TestArrayTLBLevelEquivalence:
             elif op == "inv_domain":
                 assert ref.invalidate_domain(x % 3) == \
                     arr.invalidate_domain(x % 3)
-            elif op == "inv_pkey":
-                assert ref.invalidate_pkey(x % 5) == \
-                    arr.invalidate_pkey(x % 5)
-            elif op == "inv_range":
-                assert ref.invalidate_range(x, 8) == \
-                    arr.invalidate_range(x, 8)
             else:
                 assert ref.invalidate_all() == arr.invalidate_all()
             assert ref.hits == arr.hits

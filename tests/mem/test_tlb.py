@@ -61,17 +61,6 @@ class TestTLBLevel:
         assert tlb.invalidate_all() == 10
         assert len(tlb) == 0
 
-    def test_invalidate_range(self):
-        tlb = TLBLevel(64, 4)
-        for vpn in range(20):
-            tlb.fill(entry(vpn))
-        killed = tlb.invalidate_range(5, 10)
-        assert killed == 10
-        assert tlb.peek(4) is not None
-        assert tlb.peek(5) is None
-        assert tlb.peek(14) is None
-        assert tlb.peek(15) is not None
-
     def test_invalidate_domain(self):
         tlb = TLBLevel(64, 4)
         for vpn in range(12):
@@ -85,12 +74,6 @@ class TestTLBLevel:
         tlb.fill(entry(1, domain=5))
         assert tlb.invalidate_domain(5) == 1
         assert tlb.invalidate_domain(5) == 0
-
-    def test_invalidate_pkey(self):
-        tlb = TLBLevel(64, 4)
-        for vpn in range(10):
-            tlb.fill(entry(vpn, pkey=vpn % 2, domain=1 + vpn % 2))
-        assert tlb.invalidate_pkey(1) == 5
 
     def test_domain_index_survives_lru_eviction(self):
         tlb = TLBLevel(4, 4)

@@ -105,8 +105,9 @@ class TestReservoirEngages:
 class TestAttainmentWeighting:
     def test_exact_when_not_sampling(self):
         sched = SchedAccounting(slo_target=10.0)
-        for latency in (5.0, 15.0, 8.0, 12.0):
-            sched.observe_request(0, latency, False)
+        sched.observe_requests(np.zeros(4, dtype=np.int64),
+                               np.array([5.0, 15.0, 8.0, 12.0]),
+                               np.zeros(4, dtype=bool))
         assert sched.attainment_at(10.0) == 0.5
 
     def test_reservoir_weighted_by_true_count(self, small_reservoir):

@@ -64,10 +64,6 @@ class DictTLBLevel:
         self.hits += 1
         return entry
 
-    def peek(self, vpn: int) -> Optional[TLBEntry]:
-        """Lookup without touching LRU state or statistics."""
-        return self._set_for(vpn).get(vpn)
-
     def fill(self, entry: TLBEntry) -> Optional[TLBEntry]:
         """Insert an entry; returns the evicted victim, if any."""
         entries = self._set_for(entry.vpn)
@@ -114,34 +110,6 @@ class DictTLBLevel:
                 count += 1
         return count
 
-    def invalidate_range(self, start_vpn: int, n_pages: int) -> int:
-        """Invalidate all entries translating pages in the VA range."""
-        end = start_vpn + n_pages
-        count = 0
-        for entries in self._sets:
-            doomed = [vpn for vpn in entries if start_vpn <= vpn < end]
-            for vpn in doomed:
-                entry = entries.pop(vpn)
-                if entry.domain:
-                    vpns = self._vpns_by_domain.get(entry.domain)
-                    if vpns is not None:
-                        vpns.discard(vpn)
-            count += len(doomed)
-        return count
-
-    def invalidate_pkey(self, pkey: int) -> int:
-        """Invalidate all entries tagged with a protection key."""
-        count = 0
-        for entries in self._sets:
-            doomed = [vpn for vpn, e in entries.items() if e.pkey == pkey]
-            for vpn in doomed:
-                entry = entries.pop(vpn)
-                if entry.domain:
-                    vpns = self._vpns_by_domain.get(entry.domain)
-                    if vpns is not None:
-                        vpns.discard(vpn)
-            count += len(doomed)
-        return count
 
     # -- introspection --------------------------------------------------------------
 

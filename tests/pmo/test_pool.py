@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.permissions import Perm
+from repro.permissions import Perm
 from repro.errors import (InvalidOIDError, PermissionDeniedError,
                           PoolClosedError, PoolExistsError, PoolNotFoundError)
 from repro.pmo import OID, POOL_HEADER_SIZE, PoolManager

@@ -99,13 +99,16 @@ class TestKeyedSpecs:
     def test_replay_marked_keyed_per_scheme_results(self, engine):
         spec = WorkloadSpec.service(n_clients=6, n_requests=120,
                                     arrival="closed", dispatch="replay")
-        cell = engine.replay_marked_keyed(
-            spec, ("domain_virt", "mpk_virt"))
-        assert set(cell) == {"domain_virt", "mpk_virt"}
-        for scheme, stats in cell.items():
+        schemes = ("domain_virt", "mpk_virt")
+        cells = engine.replay_served(
+            [(spec.keyed(scheme), [scheme]) for scheme in schemes])
+        for scheme, cell in zip(schemes, cells):
+            assert set(cell) == {"baseline", scheme}
+            [stats] = cell[scheme]
             plan = build_plan_keyed(CLOSED, scheme)
             assert len(stats.mark_cycles) == plan.columns.n_batches
-            assert stats.baseline_cycles is not None
+            # Each scheme's baseline replays that scheme's own schedule.
+            assert stats.baseline_cycles == cell["baseline"][0].cycles
 
 
 class TestClosedLoopRejections:

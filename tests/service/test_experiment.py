@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine import Engine, ReplayJob, TraceCache, WorkloadSpec
+from repro.engine import Engine, TraceCache, WorkloadSpec
 from repro.experiments.runner import ExperimentRunner
 from repro.experiments.service import (SCHEME_ALIASES, report_service,
                                        resolve_scheme, run_service)
@@ -36,16 +36,6 @@ class TestWorkloadSpec:
             WorkloadSpec.service(n_clients=8, n_requests=80,
                                  seed=99).cache_key()
 
-    def test_marks_extend_the_job_hash_compatibly(self):
-        spec = WorkloadSpec.service(**TINY)
-        plain = ReplayJob(spec=spec, scheme="lowerbound")
-        marked = ReplayJob(spec=spec, scheme="lowerbound", marks=(3, 7))
-        assert plain.content_hash() != marked.content_hash()
-        # marks=None must hash exactly like a pre-marks job, so existing
-        # cached results stay addressable.
-        assert plain.content_hash() == \
-            ReplayJob(spec=spec, scheme="lowerbound",
-                      marks=None).content_hash()
 
 
 class TestEngineRoundTrip:
@@ -61,14 +51,14 @@ class TestEngineRoundTrip:
     def test_replay_marked_snapshots_every_scheme(self, engine):
         spec = WorkloadSpec.service(**TINY)
         marks = batch_boundaries(engine.trace_for(spec))
-        cell = engine.replay(spec, ("lowerbound", "domain_virt"),
-                             marks=marks)
+        [cell] = engine.replay_served(
+            [(spec, ("lowerbound", "domain_virt"))])
         assert set(cell) == {"baseline", "lowerbound", "domain_virt"}
-        for stats in cell.values():
+        for [stats] in cell.values():
             assert len(stats.mark_cycles) == len(marks)
             assert stats.mark_cycles == sorted(stats.mark_cycles)
-        assert cell["domain_virt"].baseline_cycles == \
-            cell["baseline"].cycles
+        assert cell["domain_virt"][0].baseline_cycles == \
+            cell["baseline"][0].cycles
 
 
 class TestDriver:

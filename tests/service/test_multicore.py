@@ -1,6 +1,6 @@
 """Multi-core sharded replay: the differential anchors of MULTICORE.md.
 
-Three contracts, asserted differentially:
+Four contracts, asserted differentially:
 
 * **workers=1 bit-identity** — the sharded path degenerates to the
   classic single-core replay: same shard object, same marks, and
@@ -11,23 +11,28 @@ Three contracts, asserted differentially:
   mark clock;
 * **the paper's headline contrast** — at ``workers > 1`` MPKV/libmpk
   report nonzero cross-core shootdown cycles (key remaps interrupt
-  every core) while domain virtualization reports exactly zero.
+  every core) while domain virtualization reports exactly zero;
+* **keyed dispatch on several workers** — ``summaries_for_spec``'s
+  per-scheme schedules, sharded, equal the hand-wired chain.
 """
 
 import numpy as np
 import pytest
 
 from repro.cpu.trace import CTXSW, INIT_PERM
-from repro.engine import Engine, replay_one
+from repro.engine import Engine, TraceCache, WorkloadSpec, replay_one
 from repro.errors import SimulationError
+from repro.experiments.runner import ExperimentRunner
+from repro.experiments.service import summaries_for_spec
 from repro.service import (ServiceParams, account, account_sharded,
-                           batch_boundaries, build_plan,
-                           generate_service_trace, shard_by_worker,
+                           batch_boundaries, build_plan, build_plan_keyed,
+                           generate_service_trace,
+                           generate_service_trace_keyed, shard_by_worker,
                            worker_slots)
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.stats import merge_run_stats
 
-from repro.core.schemes import scheme_descriptor
+from repro.core.schemes import resolve_scheme, scheme_descriptor
 
 ALL_SCHEMES = ("baseline", "lowerbound", "mpk", "mpk_virt", "libmpk",
                "domain_virt", "erim", "pks_seal", "dpti", "poe2")
@@ -136,18 +141,19 @@ class TestWorkersOneBitIdentity:
         assert sharded.to_dict() == classic.to_dict()
 
     def test_engine_replay_shards_matches_replay_marked(self, single):
-        plan, trace = single
-        engine = Engine()
-        shards = shard_by_worker(trace)
-        cell = engine.replay_shards(shards, ["mpk_virt", "domain_virt"])
+        _plan, trace = single
+        engine = Engine(cache=TraceCache("0"))
+        spec = WorkloadSpec(suite="service", params=PARAMS_1W)
+        [cell] = engine.replay_served([(spec, ["mpk_virt", "domain_virt"])])
+        engine.release(spec)
         for scheme in ("mpk_virt", "domain_virt"):
             classic = replay_one(trace, scheme,
                                  marks=batch_boundaries(trace))
-            assert cell[scheme][0].mark_cycles == classic.mark_cycles
-            assert cell[scheme][0].cycles == classic.cycles
+            [stats] = cell[scheme]
+            assert stats.mark_cycles == classic.mark_cycles
+            assert stats.cycles == classic.cycles
             # baseline_cycles wired from the same shard's baseline run.
-            assert cell[scheme][0].baseline_cycles == \
-                cell["baseline"][0].cycles
+            assert stats.baseline_cycles == cell["baseline"][0].cycles
 
 
 class TestCycleConservation:
@@ -262,6 +268,42 @@ class TestCrossCoreShootdowns:
                            marks=batch_boundaries(trace))
         assert stats.cross_core_shootdowns == 0
         assert stats.cross_core_shootdown_cycles == 0.0
+
+
+class TestKeyedSeveralWorkers:
+    """Keyed dispatch on two simulated cores, through
+    ``summaries_for_spec``: each scheme's own schedule, split into
+    per-worker shards."""
+
+    PARAMS = ServiceParams(n_clients=24, n_requests=160, arrival="closed",
+                           dispatch="replay", workers=2)
+
+    @pytest.fixture(scope="class")
+    def row(self):
+        spec = WorkloadSpec(suite="service", params=self.PARAMS)
+        runner = ExperimentRunner(engine=Engine(cache=TraceCache("0")))
+        return summaries_for_spec(runner, spec, ("mpk", "mpkv", "dv"))
+
+    def test_hard_limited_scheme_reports_none(self, row):
+        assert row["mpk"] is None
+
+    @pytest.mark.parametrize("name", ("mpkv", "dv"))
+    def test_matches_the_hand_wired_chain(self, row, name):
+        scheme = resolve_scheme(name)
+        plan = build_plan_keyed(self.PARAMS, scheme)
+        trace, _ws = generate_service_trace_keyed(self.PARAMS, scheme)
+        shards = shard_by_worker(trace)
+        assert len(shards) == 2
+        stats = [replay_one(shard.trace, scheme, marks=shard.marks,
+                            n_cores=2) for shard in shards]
+        expected = account_sharded(plan, shards, stats, frequency_hz=FREQ)
+        assert row[name].to_dict() == expected.to_dict()
+
+    def test_only_mpkv_pays_cross_core(self, row):
+        assert row["mpkv"].cross_core_shootdowns > 0
+        assert row["mpkv"].cross_core_shootdown_cycles == 11726.0
+        assert row["dv"].cross_core_shootdowns == 0
+        assert row["dv"].cross_core_shootdown_cycles == 0.0
 
 
 class TestMergeRunStats:

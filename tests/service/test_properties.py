@@ -6,6 +6,10 @@ randomly drawn :class:`ServiceParams`.
 * every batch serves a single client on a worker slot in range;
 * at one worker, ``account`` and ``account_sharded`` over
   ``shard_by_worker`` agree bit for bit;
+* through the served-replay path (``Engine.replay_served`` then
+  ``account_sharded``), each slot's busy cycles equal its shard's final
+  mark, every offered request is served, rejected or shed, and SLO
+  attainment never falls as the target grows;
 * the replay engine reproduces the reference interpreter
   (``tests/oracle.py``) bit for bit on the served trace, marks
   included, for every registered scheme.
@@ -18,12 +22,15 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pytest
+
 from repro.core.schemes import available_schemes, scheme_by_name
 from repro.cpu.fast_timing import FastReplayEngine, supports_fast_replay
-from repro.engine import ReplayContext, replay_one
+from repro.engine import (Engine, ReplayContext, TraceCache, WorkloadSpec,
+                          replay_one)
 from repro.service import (CalibratedClock, ServiceParams, account,
                            account_sharded, batch_boundaries, build_plan,
-                           shard_by_worker)
+                           build_plan_keyed, shard_by_worker)
 from repro.service.server import ServiceWorkload
 from repro.sim.config import DEFAULT_CONFIG
 
@@ -157,3 +164,45 @@ def assert_fast_is_reference(trace, scheme):
 def test_fast_replay_is_the_reference_on_served_traces(params, scheme):
     params = replace(params, n_requests=min(params.n_requests, 60))
     assert_fast_is_reference(served_trace(params), scheme)
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_clients=st.integers(1, 12), n_requests=st.integers(1, 120),
+       seed=st.integers(0, 2 ** 16), workers=st.integers(1, 3),
+       dispatch=st.sampled_from(["nominal", "replay"]),
+       scheme=st.sampled_from(["mpk_virt", "libmpk", "domain_virt"]))
+def test_served_replay_conserves_cycles_and_requests(
+        n_clients, n_requests, seed, workers, dispatch, scheme):
+    params = ServiceParams(n_clients=n_clients, n_requests=n_requests,
+                           seed=seed, arrival="closed", dispatch=dispatch,
+                           workers=workers)
+    spec = WorkloadSpec(suite="service", params=params)
+    if dispatch == "replay":
+        spec = spec.keyed(scheme)
+        plan = build_plan_keyed(params, scheme)
+    else:
+        plan = build_plan(params)
+    engine = Engine(cache=TraceCache("0"))
+    try:
+        [cell] = engine.replay_served([(spec, [scheme])])
+        shards = shard_by_worker(engine.trace_for(spec))
+    finally:
+        engine.release(spec)
+    summary = account_sharded(plan, shards, cell[scheme],
+                              frequency_hz=FREQ)
+    for shard, stats in zip(shards, cell[scheme]):
+        assert stats.baseline_cycles == cell["baseline"][shard.slot].cycles
+        if shard.marks:
+            assert summary.worker_busy[shard.slot] == pytest.approx(
+                stats.mark_cycles[-1], rel=1e-12)
+        else:
+            assert shard.slot not in summary.worker_busy
+    assert summary.n_offered == len(plan.columns.requests) == \
+        summary.n_served + summary.n_rejected + summary.n_shed
+    samples = sorted({sample for histogram in summary.sched.latency.values()
+                      for sample in histogram.samples})
+    targets = [t for t in samples + [s / 2 for s in samples] if t > 0]
+    targets = sorted(targets) + [float("inf")]
+    attained = [summary.sched.attainment_at(t) for t in targets]
+    assert attained == sorted(attained)
+    assert attained[-1] == 1.0

@@ -9,6 +9,7 @@ rights.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Dict, List
 
@@ -44,12 +45,19 @@ class Thread:
     """A thread: the subject of per-domain permissions.
 
     TIDs are assigned per process (starting at 1), which keeps generated
-    traces reproducible run to run.
+    traces reproducible run to run.  The link back to the process is
+    weak: the process owns its threads, and a strong back-reference
+    would keep every dropped process (and its page table) alive until
+    the cycle collector runs.
     """
 
     def __init__(self, process: "Process", tid: int):
         self.tid = tid
-        self.process = process
+        self._process = weakref.ref(process)
+
+    @property
+    def process(self) -> "Process":
+        return self._process()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Thread(tid={self.tid}, pid={self.process.pid})"

@@ -15,6 +15,11 @@ persisted by the pool header so a scan knows where to stop.
 
 A volatile free list (rebuildable from the scan) provides first-fit
 allocation with splitting and eager coalescing of adjacent free chunks.
+The free list also counts its chunks per payload-alignment class, so an
+aligned request that no free chunk could satisfy skips the scan: a bump
+allocation at a large alignment leaves a pad chunk that can never serve
+that alignment, one per node, and scanning them on every allocation
+would make population quadratic in nodes per pool.
 """
 
 from __future__ import annotations
@@ -26,10 +31,18 @@ from .storage import SparseMemory
 
 HEADER_SIZE = 8
 MIN_CHUNK = 32  # smallest chunk we will split off (header + 24B payload)
+#: Highest payload-alignment class counted separately (2**12 = a page);
+#: larger alignments share it.
+_TOP_CLASS = 12
 
 
 def _align_up(value: int, align: int) -> int:
     return (value + align - 1) & ~(align - 1)
+
+
+def _align_class(value: int) -> int:
+    """log2 of the largest power of two dividing ``value``, capped."""
+    return min((value & -value).bit_length() - 1, _TOP_CLASS)
 
 
 class PoolHeap:
@@ -48,6 +61,8 @@ class PoolHeap:
         self._free: Dict[int, int] = {}
         # Reverse index for O(1) coalescing: chunk end offset -> start offset.
         self._free_by_end: Dict[int, int] = {}
+        # Free chunks per payload-alignment class (see _align_class).
+        self._class_counts = [0] * (_TOP_CLASS + 1)
         self.live_allocations = 0
 
     # -- header helpers --------------------------------------------------------
@@ -64,27 +79,26 @@ class PoolHeap:
 
     def _insert_free(self, offset: int, size: int) -> None:
         # Coalesce with the chunk that ends where this one starts.
-        prev_start = self._free_by_end.pop(offset, None)
+        prev_start = self._free_by_end.get(offset)
         if prev_start is not None:
-            size += self._free.pop(prev_start)
+            size += self._remove_free(prev_start)
             offset = prev_start
         # Coalesce with the chunk that starts where this one ends.
-        next_start = offset + size
-        next_size = self._free.pop(next_start, None)
-        if next_size is not None:
-            del self._free_by_end[next_start + next_size]
-            size += next_size
+        if offset + size in self._free:
+            size += self._remove_free(offset + size)
         # A free chunk adjacent to heap_top shrinks the heap instead.
         if offset + size == self.heap_top:
             self.heap_top = offset
             return
         self._free[offset] = size
         self._free_by_end[offset + size] = offset
+        self._class_counts[_align_class(offset + HEADER_SIZE)] += 1
         self._write_header(offset, size, in_use=False)
 
     def _remove_free(self, offset: int) -> int:
         size = self._free.pop(offset)
         del self._free_by_end[offset + size]
+        self._class_counts[_align_class(offset + HEADER_SIZE)] -= 1
         return size
 
     # -- public API --------------------------------------------------------------
@@ -103,9 +117,11 @@ class PoolHeap:
 
         needed = HEADER_SIZE + _align_up(size, 8)
 
-        # First fit over the free list (offsets sorted for determinism).
+        # First fit over the free list (offsets sorted for determinism),
+        # skipped when no free chunk's payload has the alignment.
         amask = align - 1
-        for offset in sorted(self._free):
+        eligible = any(self._class_counts[_align_class(align):])
+        for offset in sorted(self._free) if eligible else ():
             payload = offset + HEADER_SIZE
             if payload & amask:
                 continue  # misaligned candidates are skipped, not split

@@ -44,19 +44,12 @@ class OID:
     def unpack(value: int) -> "OID":
         """Decode a 64-bit on-media value back into an :class:`OID`.
 
-        Instances are immutable, so decoded pointers are interned: the
-        workloads unpack the same handful of live pointers over and over,
-        and the cache turns each repeat into one dict probe instead of a
-        validated dataclass construction.
+        Workloads decode through :meth:`repro.workloads.base.PMem.read_oid`,
+        which interns the result per workspace.
         """
-        oid = _UNPACK_CACHE.get(value)
-        if oid is None:
-            if not 0 <= value <= 0xFFFF_FFFF_FFFF_FFFF:
-                raise ValueError(
-                    f"OID value {value:#x} does not fit in 64 bits")
-            oid = OID(pool_id=value >> 32, offset=value & _MASK32)
-            _UNPACK_CACHE[value] = oid
-        return oid
+        if not 0 <= value <= 0xFFFF_FFFF_FFFF_FFFF:
+            raise ValueError(f"OID value {value:#x} does not fit in 64 bits")
+        return OID(pool_id=value >> 32, offset=value & _MASK32)
 
     # -- pointer arithmetic ---------------------------------------------------
 
@@ -82,6 +75,3 @@ class OID:
 
 #: Convenience constant mirroring ``NULL`` in the C APIs.
 NULL_OID = OID(0, 0)
-
-#: Interned decoded pointers (see :meth:`OID.unpack`).
-_UNPACK_CACHE = {NULL_OID_VALUE: NULL_OID}

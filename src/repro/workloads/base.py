@@ -31,8 +31,8 @@ from ..permissions import Perm
 from ..cpu.trace import Trace, TraceLayout, TraceRecorder
 from ..errors import SimulationError
 from ..os.kernel import Kernel
-from ..os.process import Attachment, Thread
-from ..pmo.oid import OID
+from ..os.process import Attachment, Process, Thread
+from ..pmo.oid import NULL_OID, NULL_OID_VALUE, OID
 from ..pmo.pool import Pool
 
 
@@ -53,10 +53,13 @@ class PermissionPolicy:
     """Decides which SETPERM events surround each traced access."""
 
     def __init__(self):
-        self.workspace: Optional["Workspace"] = None
+        self.recorder: Optional[TraceRecorder] = None
+        self.process: Optional[Process] = None
 
-    def bind(self, workspace: "Workspace") -> None:
-        self.workspace = workspace
+    def bind(self, recorder: TraceRecorder, process: Process) -> None:
+        """Attach the policy to the recorder and process it instruments."""
+        self.recorder = recorder
+        self.process = process
 
     def on_attach(self, domain: int) -> None:
         """A PMO was attached; set default permissions."""
@@ -77,14 +80,14 @@ class PerAccessPolicy(PermissionPolicy):
 
     def on_attach(self, domain: int) -> None:
         # The key's default permission is inaccessible (Section V).
-        for thread in self.workspace.process.threads:
-            self.workspace.recorder.init_perm(thread.tid, domain, Perm.NONE)
+        for thread in self.process.threads:
+            self.recorder.init_perm(thread.tid, domain, Perm.NONE)
 
     def before_access(self, tid: int, domain: int, is_write: bool) -> None:
-        self.workspace.recorder.perm(tid, domain, Perm.RW)
+        self.recorder.perm(tid, domain, Perm.RW)
 
     def after_access(self, tid: int, domain: int, is_write: bool) -> None:
-        self.workspace.recorder.perm(tid, domain, Perm.NONE)
+        self.recorder.perm(tid, domain, Perm.NONE)
 
 
 class PerOpPolicy(PermissionPolicy):
@@ -96,8 +99,8 @@ class PerOpPolicy(PermissionPolicy):
 
     def on_attach(self, domain: int) -> None:
         # The application has read permission for all PMOs (Section V).
-        for thread in self.workspace.process.threads:
-            self.workspace.recorder.init_perm(thread.tid, domain, Perm.R)
+        for thread in self.process.threads:
+            self.recorder.init_perm(thread.tid, domain, Perm.R)
 
     def before_access(self, tid: int, domain: int, is_write: bool) -> None:
         if not is_write:
@@ -107,7 +110,7 @@ class PerOpPolicy(PermissionPolicy):
             raise SimulationError(
                 "PerOpPolicy: write outside an operation() scope")
         if domain not in granted:
-            self.workspace.recorder.perm(tid, domain, Perm.RW)
+            self.recorder.perm(tid, domain, Perm.RW)
             granted.add(domain)
 
     def operation(self, tid: int):
@@ -132,7 +135,7 @@ class _PerOpScope:
 
     def __exit__(self, *exc):
         policy = self._policy
-        recorder = policy.workspace.recorder
+        recorder = policy.recorder
         for domain in sorted(policy._granted.pop(self._tid)):
             recorder.perm(self._tid, domain, Perm.R)
         return False
@@ -143,20 +146,20 @@ class UnprotectedPolicy(PermissionPolicy):
 
 
 class _UntracedScope:
-    """Suspends a workspace's recording flag (nesting-safe)."""
+    """Suspends a :class:`PMem`'s recording flag (nesting-safe)."""
 
-    __slots__ = ("_ws", "_saved")
+    __slots__ = ("_mem", "_saved")
 
-    def __init__(self, workspace: "Workspace"):
-        self._ws = workspace
+    def __init__(self, mem: "PMem"):
+        self._mem = mem
 
     def __enter__(self):
-        self._saved = self._ws._recording
-        self._ws._recording = False
+        self._saved = self._mem.recording
+        self._mem.recording = False
         return None
 
     def __exit__(self, *exc):
-        self._ws._recording = self._saved
+        self._mem.recording = self._saved
         return False
 
 
@@ -185,7 +188,12 @@ class PoolHandle:
 
 
 class Workspace:
-    """Kernel + process + recorder + permission policy for one workload."""
+    """Kernel + process + recorder + permission policy for one workload.
+
+    The access state lives on :attr:`mem` (:class:`PMem`).  Nothing the
+    workspace holds points back at it, so a dropped workspace is freed
+    by reference counting alone, without waiting for the cycle collector.
+    """
 
     def __init__(self, policy: Optional[PermissionPolicy] = None,
                  *, kernel: Optional[Kernel] = None, seed: int = 0,
@@ -194,19 +202,17 @@ class Workspace:
         self.process = self.kernel.create_process()
         self.recorder = TraceRecorder(label)
         self.policy = policy or UnprotectedPolicy()
-        self.policy.bind(self)
+        self.policy.bind(self.recorder, self.process)
         self.rng = random.Random(seed)
         self.pools: Dict[int, PoolHandle] = {}
-        self._recording = True
         self._stack_vma = self.kernel.map_volatile(self.process, 1 << 20)
-        self.mem = PMem(self)
-        #: The thread currently "on the core"; untagged accesses belong
-        #: to it.  Updated by context_switch (the scheduler drives this).
-        self.current_tid = self.process.main_thread.tid
+        self.mem = PMem(self.kernel, self.process, self.recorder,
+                        self.policy, self.pools)
 
     @property
     def tid(self) -> int:
-        return self.current_tid
+        """The thread currently on the core (see :attr:`PMem.current_tid`)."""
+        return self.mem.current_tid
 
     # -- pools ---------------------------------------------------------------------
 
@@ -235,33 +241,29 @@ class Workspace:
 
     def untraced(self):
         """Suspend event recording (setup phases: initial node population)."""
-        return _UntracedScope(self)
-
-    @property
-    def recording(self) -> bool:
-        return self._recording
+        return _UntracedScope(self.mem)
 
     def operation(self, tid: Optional[int] = None):
         """One data-structure operation (permission-policy scope)."""
         return self.policy.operation(
-            tid if tid is not None else self.current_tid)
+            tid if tid is not None else self.mem.current_tid)
 
     def compute(self, instructions: int) -> None:
         """Model non-memory work (loop control, comparisons, hashing)."""
-        if self._recording:
+        if self.mem.recording:
             self.recorder.compute(instructions)
 
     def fetch(self, vaddr: int, *, tid: Optional[int] = None) -> None:
         """Record an instruction fetch (execute-only memory support)."""
         self.kernel.ensure_mapped(self.process, vaddr)
-        if self._recording:
+        if self.mem.recording:
             self.recorder.fetch(tid if tid is not None else self.tid,
                                 vaddr)
 
     def stack_access(self, tid: Optional[int] = None, *, n: int = 1,
                      is_write: bool = False) -> None:
         """Record volatile (DRAM, domainless) accesses on the stack region."""
-        if not self._recording:
+        if not self.mem.recording:
             return
         tid = tid if tid is not None else self.tid
         base = self._stack_vma.base
@@ -273,9 +275,7 @@ class Workspace:
                 self.recorder.load(tid, addr)
 
     def context_switch(self, old: Thread, new: Thread) -> None:
-        self.current_tid = new.tid
-        if self._recording:
-            self.recorder.context_switch(old.tid, new.tid)
+        self.mem.context_switch(old, new)
 
     def finish(self) -> Trace:
         """Finalize the trace, embedding the process image it replays
@@ -291,33 +291,78 @@ class Workspace:
 
 
 class PMem:
-    """Traced, permission-instrumented typed access to pool memory."""
+    """Traced, permission-instrumented typed access to pool memory.
 
-    def __init__(self, workspace: Workspace):
-        self._ws = workspace
+    Owns the workspace's access state (the recording flag, the thread on
+    the core, the decoded-pointer table) and holds the pools, kernel,
+    process, recorder and policy it needs, never the workspace itself.
+    """
+
+    def __init__(self, kernel: Kernel, process: Process,
+                 recorder: TraceRecorder, policy: PermissionPolicy,
+                 pools: Dict[int, PoolHandle]):
+        self.kernel = kernel
+        self.process = process
+        self.recorder = recorder
+        self.policy = policy
+        #: domain -> handle; the workspace's dict, shared, never rebound.
+        self.pools = pools
+        #: Whether accesses are recorded (off inside ``untraced()``).
+        self.recording = True
+        #: The thread currently "on the core"; untagged accesses belong
+        #: to it.  Updated by context_switch (the scheduler drives this).
+        self.current_tid = process.main_thread.tid
+        # Decoded pointers, interned (see read_oid).  Per workspace, so
+        # the table is freed with it instead of growing per process.
+        self._oids: Dict[int, OID] = {NULL_OID_VALUE: NULL_OID}
         # Hot-path handle: the page-table dict is owned by the process
         # for the workspace's whole lifetime and is mutated in place,
         # never rebound, so its bound ``get`` stays valid.
-        self._pte_get = workspace.process.page_table._flat.get
+        self._pte_get = process.page_table._flat.get
+
+    def context_switch(self, old: Thread, new: Thread) -> None:
+        self.current_tid = new.tid
+        if self.recording:
+            self.recorder.context_switch(old.tid, new.tid)
 
     def _resolve(self, oid: OID, offset: int) -> Tuple[PoolHandle, int, int]:
-        handle = self._ws.pools[oid.pool_id]
+        handle = self.pools[oid.pool_id]
         addr = oid.offset + offset
         va = handle.attachment.vma.base + addr
         return handle, addr, va
 
     def _trace(self, tid: int, handle: PoolHandle, va: int, size: int,
                is_write: bool) -> None:
-        ws = self._ws
-        ws.kernel.ensure_mapped(ws.process, va)
-        if not ws.recording:
+        self.kernel.ensure_mapped(self.process, va)
+        if not self.recording:
             return
-        ws.policy.before_access(tid, handle.domain, is_write)
+        self.policy.before_access(tid, handle.domain, is_write)
         if is_write:
-            ws.recorder.store(tid, va, size)
+            self.recorder.store(tid, va, size)
         else:
-            ws.recorder.load(tid, va, size)
-        ws.policy.after_access(tid, handle.domain, is_write)
+            self.recorder.load(tid, va, size)
+        self.policy.after_access(tid, handle.domain, is_write)
+
+    def _trace_words(self, tid: Optional[int], handle: PoolHandle, va: int,
+                     length: int, is_write: bool) -> None:
+        """Trace ``length`` bytes at ``va`` as one access per 8-byte word.
+
+        Untraced, only the faults matter: each page a word starts on is
+        faulted in once, in address order — the faults, and their order,
+        of the per-word walk.
+        """
+        if not self.recording:
+            if length > 0:
+                last = va + (length - 1) // 8 * 8
+                for vpn in range(va >> 12, (last >> 12) + 1):
+                    self.kernel.ensure_mapped(self.process,
+                                              max(va, vpn << 12))
+            return
+        if tid is None:
+            tid = self.current_tid
+        for word in range(0, length, 8):
+            self._trace(tid, handle, va + word, min(8, length - word),
+                        is_write)
 
     # -- allocation -------------------------------------------------------------------
 
@@ -325,7 +370,7 @@ class PMem:
         return handle.pool.pmalloc(size, align=align)
 
     def pfree(self, oid: OID) -> None:
-        self._ws.pools[oid.pool_id].pool.pfree(oid)
+        self.pools[oid.pool_id].pool.pfree(oid)
 
     # -- typed access -------------------------------------------------------------------
 
@@ -334,44 +379,52 @@ class PMem:
         # The single hottest call of every workload: _resolve, the
         # kernel's ensure_mapped and _trace inlined into one frame (same
         # decisions, one page-table probe instead of three call layers).
-        ws = self._ws
-        handle = ws.pools[oid.pool_id]
+        handle = self.pools[oid.pool_id]
         addr = oid.offset + offset
         va = handle._vbase + addr
         if self._pte_get(va >> 12) is None:
-            ws.kernel.handle_page_fault(ws.process, va)
-        if ws._recording:
+            self.kernel.handle_page_fault(self.process, va)
+        if self.recording:
             if tid is None:
-                tid = ws.current_tid
-            policy = ws.policy
+                tid = self.current_tid
+            policy = self.policy
             domain = handle._domain
             policy.before_access(tid, domain, False)
-            ws.recorder.load(tid, va, 8)
+            self.recorder.load(tid, va, 8)
             policy.after_access(tid, domain, False)
         return handle._mem.read_u64(addr)
 
     def write_u64(self, oid: OID, offset: int, value: int,
                   *, tid: Optional[int] = None) -> None:
         # Mirrors read_u64's inlined hot path.
-        ws = self._ws
-        handle = ws.pools[oid.pool_id]
+        handle = self.pools[oid.pool_id]
         addr = oid.offset + offset
         va = handle._vbase + addr
         if self._pte_get(va >> 12) is None:
-            ws.kernel.handle_page_fault(ws.process, va)
-        if ws._recording:
+            self.kernel.handle_page_fault(self.process, va)
+        if self.recording:
             if tid is None:
-                tid = ws.current_tid
-            policy = ws.policy
+                tid = self.current_tid
+            policy = self.policy
             domain = handle._domain
             policy.before_access(tid, domain, True)
-            ws.recorder.store(tid, va, 8)
+            self.recorder.store(tid, va, 8)
             policy.after_access(tid, domain, True)
         handle._mem.write_u64(addr, value)
 
     def read_oid(self, oid: OID, offset: int = 0,
                  *, tid: Optional[int] = None) -> OID:
-        return OID.unpack(self.read_u64(oid, offset, tid=tid))
+        """Read a pool pointer.
+
+        Decoded pointers are interned: the workloads chase the same
+        live pointers over and over, and the table turns each repeat
+        into one dict probe instead of a validated construction.
+        """
+        value = self.read_u64(oid, offset, tid=tid)
+        target = self._oids.get(value)
+        if target is None:
+            target = self._oids[value] = OID.unpack(value)
+        return target
 
     def write_oid(self, oid: OID, offset: int, target: OID,
                   *, tid: Optional[int] = None) -> None:
@@ -381,17 +434,13 @@ class PMem:
                    *, tid: Optional[int] = None) -> bytes:
         """Read a byte range, traced as one access per 8-byte word."""
         handle, addr, va = self._resolve(oid, offset)
-        tid = tid if tid is not None else self._ws.tid
-        for word in range(0, length, 8):
-            self._trace(tid, handle, va + word, min(8, length - word), False)
+        self._trace_words(tid, handle, va, length, False)
         return handle.pool.memory.read(addr, length)
 
     def write_bytes(self, oid: OID, offset: int, data: bytes,
                     *, tid: Optional[int] = None) -> None:
         handle, addr, va = self._resolve(oid, offset)
-        tid = tid if tid is not None else self._ws.tid
-        for word in range(0, len(data), 8):
-            self._trace(tid, handle, va + word, min(8, len(data) - word), True)
+        self._trace_words(tid, handle, va, len(data), True)
         handle.pool.memory.write(addr, data)
 
     # -- bulk moves (traced at cache-line granularity) -----------------------------------
@@ -407,7 +456,7 @@ class PMem:
             return
         handle, src_addr, src_va = self._resolve(oid, src_off)
         _, dst_addr, dst_va = self._resolve(oid, dst_off)
-        tid = tid if tid is not None else self._ws.tid
+        tid = tid if tid is not None else self.current_tid
         for line in range(0, nbytes, 64):
             self._trace(tid, handle, src_va + line, 8, False)
             self._trace(tid, handle, dst_va + line, 8, True)
@@ -421,7 +470,7 @@ class PMem:
             return
         src_handle, src_addr, src_va = self._resolve(src, src_off)
         dst_handle, dst_addr, dst_va = self._resolve(dst, dst_off)
-        tid = tid if tid is not None else self._ws.tid
+        tid = tid if tid is not None else self.current_tid
         for line in range(0, nbytes, 64):
             self._trace(tid, src_handle, src_va + line, 8, False)
             self._trace(tid, dst_handle, dst_va + line, 8, True)

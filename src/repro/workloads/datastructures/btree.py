@@ -67,6 +67,9 @@ class PersistentBPlusTree:
     def _payload_at(self, node: OID, index: int) -> int:
         return self.mem.read_u64(node, OFF_PAYLOAD + index * 8)
 
+    def _child_at(self, node: OID, index: int) -> OID:
+        return self.mem.read_oid(node, OFF_PAYLOAD + index * 8)
+
     def _count(self, node: OID) -> int:
         return self.mem.read_u64(node, OFF_COUNT)
 
@@ -91,7 +94,7 @@ class PersistentBPlusTree:
             count = self._count(node)
             idx = self._upper_bound(node, count, key)
             path.append((node, idx))
-            node = OID.unpack(self._payload_at(node, idx))
+            node = self._child_at(node, idx)
         return node, path
 
     # -- operations ------------------------------------------------------------------------
@@ -234,7 +237,7 @@ class PersistentBPlusTree:
         if is_null(node):
             return []
         while self.mem.read_u64(node, OFF_TYPE) == INTERNAL:
-            node = OID.unpack(self._payload_at(node, 0))
+            node = self._child_at(node, 0)
         out: List[int] = []
         while not is_null(node):
             for i in range(self._count(node)):
@@ -266,7 +269,7 @@ class PersistentBPlusTree:
                 return depth
             depths = set()
             for i in range(count + 1):
-                child = OID.unpack(self._payload_at(node, i))
+                child = self._child_at(node, i)
                 child_lo = self._key_at(node, i - 1) if i > 0 else lo
                 child_hi = self._key_at(node, i) if i < count else hi
                 depths.add(recurse(child, child_lo, child_hi, depth + 1))

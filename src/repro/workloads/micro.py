@@ -255,8 +255,10 @@ class _StringSwapSuite:
 def generate_micro_trace(params: MicroParams) -> Tuple[Trace, Workspace]:
     """Build and execute one microbenchmark; returns its trace + workspace.
 
-    The workspace is returned because replays run against its process
-    (page tables, VMAs, attachments).
+    Replays never touch the workspace: every replay rebuilds a private
+    context from ``trace.layout`` (:mod:`repro.engine.context`).  The
+    workspace is returned for inspection (pools, process image) and is
+    freed as soon as the caller drops it.
     """
     if params.benchmark not in MICRO_BENCHMARKS:
         raise ValueError(f"unknown microbenchmark {params.benchmark!r}; "

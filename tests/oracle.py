@@ -1,4 +1,5 @@
-"""Test oracle: the reference interpreter and the dict TLB/cache models.
+"""Test oracle: the reference interpreter, the dict TLB/cache models and
+the scanning heap.
 
 The replay engine (``repro.cpu.fast_timing``) is an optimisation of the
 plain model kept here: :class:`ReferenceEngine` walks the row view of a
@@ -10,7 +11,10 @@ engine, so the two emit the same event records by the same stamping
 rule.  The differential suites (``tests/cpu/test_fast_replay.py``,
 ``tests/service/test_properties.py``, ``tests/mem/test_array_models.py``)
 demand that the engine and its flat-array models match this code bit
-for bit.  Nothing under ``src/`` imports this module.
+for bit.  :class:`ScanningPoolHeap` is the persistent heap's first fit
+before the free list counted its alignment classes: it scans every free
+chunk on every allocation (``tests/pmo/test_heap.py`` demands the same
+results from both).  Nothing under ``src/`` imports this module.
 """
 
 from __future__ import annotations
@@ -21,11 +25,13 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from repro.cpu import trace as tr
 from repro.cpu.timing import ReplayEngine
 from repro.cpu.trace import INIT_PERM
-from repro.errors import ProtectionFault, SimulationError
+from repro.errors import (OutOfPoolMemoryError, ProtectionFault,
+                          SimulationError)
 from repro.mem.cache import LINE_SHIFT, LINE_SIZE, CacheHierarchy
 from repro.mem.memory import NVM_FRAME_BASE
 from repro.mem.tlb import TLBEntry, TwoLevelTLB
 from repro.permissions import Perm
+from repro.pmo.heap import HEADER_SIZE, MIN_CHUNK, PoolHeap, _align_up
 
 
 class DictTLBLevel:
@@ -342,3 +348,75 @@ class ReferenceEngine(ReplayEngine):
                            Perm(b) if kind <= INIT_PERM else b)
 
         return cycles, instructions
+
+
+class ScanningPoolHeap(PoolHeap):
+    """:class:`~repro.pmo.heap.PoolHeap` with an uncounted free list:
+    every allocation sorts and scans every free chunk."""
+
+    def _insert_free(self, offset: int, size: int) -> None:
+        prev_start = self._free_by_end.pop(offset, None)
+        if prev_start is not None:
+            size += self._free.pop(prev_start)
+            offset = prev_start
+        next_start = offset + size
+        next_size = self._free.pop(next_start, None)
+        if next_size is not None:
+            del self._free_by_end[next_start + next_size]
+            size += next_size
+        if offset + size == self.heap_top:
+            self.heap_top = offset
+            return
+        self._free[offset] = size
+        self._free_by_end[offset + size] = offset
+        self._write_header(offset, size, in_use=False)
+
+    def _remove_free(self, offset: int) -> int:
+        size = self._free.pop(offset)
+        del self._free_by_end[offset + size]
+        return size
+
+    def allocate(self, size: int, *, align: int = 8) -> int:
+        if size <= 0:
+            raise ValueError("allocation size must be positive")
+        if align & (align - 1):
+            raise ValueError("alignment must be a power of two")
+        needed = HEADER_SIZE + _align_up(size, 8)
+        amask = align - 1
+        for offset in sorted(self._free):
+            payload = offset + HEADER_SIZE
+            if payload & amask:
+                continue
+            chunk_size = self._free[offset]
+            if chunk_size >= needed:
+                self._remove_free(offset)
+                remainder = chunk_size - needed
+                if remainder >= MIN_CHUNK:
+                    self._insert_free(offset + needed, remainder)
+                    chunk_size = needed
+                self._write_header(offset, chunk_size, in_use=True)
+                self.live_allocations += 1
+                return payload
+        offset = self.heap_top
+        payload = _align_up(offset + HEADER_SIZE, align)
+        pad = payload - HEADER_SIZE - offset
+        if pad:
+            if pad < MIN_CHUNK:
+                chunk_size = pad + HEADER_SIZE + _align_up(size, 8)
+                if offset + chunk_size > self.limit:
+                    raise OutOfPoolMemoryError(
+                        f"pool heap exhausted ({size} bytes requested)")
+                self._write_header(offset, chunk_size, in_use=True)
+                self.heap_top = offset + chunk_size
+                self.live_allocations += 1
+                return payload
+            self._insert_free(offset, pad)
+            offset = payload - HEADER_SIZE
+        chunk_size = HEADER_SIZE + _align_up(size, 8)
+        if offset + chunk_size > self.limit:
+            raise OutOfPoolMemoryError(
+                f"pool heap exhausted ({size} bytes requested)")
+        self._write_header(offset, chunk_size, in_use=True)
+        self.heap_top = offset + chunk_size
+        self.live_allocations += 1
+        return payload

@@ -8,6 +8,8 @@ from repro.errors import InvalidOIDError, OutOfPoolMemoryError
 from repro.pmo import SparseMemory
 from repro.pmo.heap import HEADER_SIZE, PoolHeap
 
+from ..oracle import ScanningPoolHeap
+
 BASE = 4096
 LIMIT = 1 << 20
 
@@ -198,3 +200,52 @@ class TestPropertyBased:
         assert recovered.live_allocations == len(live)
         for off in live:
             assert recovered.allocation_size(off) > 0
+
+
+def _outcome(call):
+    """A call's result, or its error's type and message."""
+    try:
+        return call()
+    except (OutOfPoolMemoryError, InvalidOIDError) as exc:
+        return type(exc), str(exc)
+
+
+class TestCountedFirstFit:
+    def test_pads_of_aligned_bumps_cannot_serve_the_alignment(self):
+        # Every bump at align 512 leaves a pad whose payload is only
+        # 8-aligned; the counts tell allocate no chunk can serve 512.
+        heap = make_heap()
+        for _ in range(64):
+            heap.allocate(64, align=512)
+        assert len(heap.free_chunks()) == 64
+        assert not any(heap._class_counts[9:])
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just("alloc"), st.integers(1, 600),
+                  st.sampled_from([8 << k for k in range(10)])),
+        st.tuples(st.just("free"), st.integers(0, 60), st.just(0)),
+    ), min_size=1, max_size=120))
+    def test_matches_the_scanning_heap(self, ops):
+        """Same offsets, free list, heap top, counts and errors as the
+        first fit that scans every chunk."""
+        limit = BASE + (64 << 10)  # small enough to exhaust
+        heap = PoolHeap(SparseMemory(limit), BASE, limit)
+        oracle = ScanningPoolHeap(SparseMemory(limit), BASE, limit)
+        live = []
+        for kind, arg, align in ops:
+            if kind == "alloc":
+                got = _outcome(lambda: heap.allocate(arg, align=align))
+                want = _outcome(lambda: oracle.allocate(arg, align=align))
+                if isinstance(got, int):
+                    live.append(got)
+            else:
+                # Mostly live offsets, sometimes a stale one (double free).
+                target = (live.pop(arg % len(live)) if live and arg < 50
+                          else BASE + HEADER_SIZE + 8 * arg)
+                got = _outcome(lambda: heap.free(target))
+                want = _outcome(lambda: oracle.free(target))
+            assert got == want
+            assert heap.free_chunks() == oracle.free_chunks()
+            assert heap.heap_top == oracle.heap_top
+            assert heap.live_allocations == oracle.live_allocations

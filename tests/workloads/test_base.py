@@ -1,5 +1,7 @@
 """Tests for the workspace and the permission-instrumentation policies."""
 
+import contextlib
+
 import pytest
 
 from repro.permissions import Perm
@@ -185,3 +187,39 @@ class TestBulkMoves:
         ws.mem.write_bytes(src, 0, bytes(range(64)))
         ws.mem.copy_range(src, 0, dst, 0, 64)
         assert ws.mem.read_bytes(dst, 0, 64) == bytes(range(64))
+
+
+class TestByteRanges:
+    @staticmethod
+    def _faults(traced: bool, read: bool):
+        """(vpn, pfn) in fault order after one byte-range access that
+        starts 20 bytes before a page boundary and crosses four: its
+        last word starts 4 bytes before the fourth, so only the pages
+        that words start on (four of the five it touches) fault."""
+        ws = Workspace(UnprotectedPolicy())
+        handle = ws.create_and_attach("p", 8 << 20)
+        oid = handle.pool.pmalloc(5 * 4096)
+        offset = 4096 - (handle.va_of(oid) % 4096) - 20
+        length = 3 * 4096 + 22
+        with ws.untraced() if not traced else contextlib.nullcontext():
+            if read:
+                ws.mem.read_bytes(oid, offset, length)
+            else:
+                ws.mem.write_bytes(oid, offset, b"\x5a" * length)
+        return [(vpn, pte.pfn)
+                for vpn, pte in ws.process.page_table.entries()]
+
+    @pytest.mark.parametrize("read", [False, True], ids=["write", "read"])
+    def test_untraced_range_faults_like_the_per_word_walk(self, read):
+        faults = self._faults(traced=False, read=read)
+        assert len(faults) == 4
+        assert faults == self._faults(traced=True, read=read)
+
+    def test_untraced_range_still_moves_the_bytes(self):
+        ws = Workspace(UnprotectedPolicy())
+        handle = ws.create_and_attach("p", 8 << 20)
+        oid = handle.pool.pmalloc(3 * 4096)
+        with ws.untraced():
+            ws.mem.write_bytes(oid, 4000, bytes(range(200)))
+            assert ws.mem.read_bytes(oid, 4000, 200) == bytes(range(200))
+        assert ws.finish().counts().get("store", 0) == 0

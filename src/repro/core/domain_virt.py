@@ -2,8 +2,9 @@
 
 Foregoes protection keys entirely.  TLB entries carry a domain ID filled
 from the DRT (walked in parallel with the page table — no extra TLB-miss
-cost); per-thread domain permissions live in the Permission Table, cached
-by a 16-entry PTLB.  SETPERM completes in the PTLB; key remapping and TLB
+cost, so the model keeps only the DRT's set of attached domains);
+per-thread domain permissions live in the Permission Table, cached by a
+16-entry PTLB.  SETPERM completes in the PTLB; key remapping and TLB
 shootdowns disappear.  The price: a PTLB lookup on *every* domain access,
 even when the data hits in L1 (Section IV-E, the "Access latency" row of
 Table VII).
@@ -18,11 +19,14 @@ Charging map:
 
 from __future__ import annotations
 
+from typing import Set
+
+from ..errors import DomainError
 from ..permissions import Perm, strictest
 from ..mem.tlb import TLBEntry
 from ..os.address_space import VMA
-from .drt import DomainRangeTable
-from .permission_table import PTLB, PermissionTable, PTLBEntry
+from .lookaside import LookasideBuffer
+from .permission_table import PermissionTable, PTLBEntry
 from .schemes import CostDescriptor, ProtectionScheme, register_scheme
 
 
@@ -39,9 +43,11 @@ class DomainVirtScheme(ProtectionScheme):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         cfg = self.config.domain_virt
-        self.drt = DomainRangeTable()
+        #: The DRT, reduced to the domains it holds: a DRT walk only
+        #: names the domain of the VMA a TLB miss resolved, and it is free.
+        self.attached: Set[int] = set()
         self.pt = PermissionTable()
-        self.ptlb = PTLB(cfg.ptlb_entries)
+        self.ptlb = LookasideBuffer(cfg.ptlb_entries, "ptlb")
         self._current_tid: int = -1
 
     @classmethod
@@ -54,13 +60,17 @@ class DomainVirtScheme(ProtectionScheme):
     # -- setup hooks --------------------------------------------------------------
 
     def attach_domain(self, vma: VMA, intent: Perm) -> None:
-        self.drt.add(vma)
+        if vma.pmo_id in self.attached:
+            raise DomainError(f"domain {vma.pmo_id} already attached")
+        self.attached.add(vma.pmo_id)
         self.pt.register_domain(vma.pmo_id)
 
     def detach_domain(self, domain: int) -> None:
+        if domain not in self.attached:
+            raise DomainError(f"domain {domain} not attached")
+        self.attached.remove(domain)
         self.ptlb.invalidate(domain)
         self.pt.drop_domain(domain)
-        self.drt.remove(domain)
 
     def set_initial_perm(self, domain: int, tid: int, perm: Perm) -> None:
         self.pt.set(domain, tid, perm)
@@ -113,9 +123,8 @@ class DomainVirtScheme(ProtectionScheme):
     def fill_tags(self, vma: VMA, tid: int) -> tuple:
         # The DRT walk overlaps the page-table walk and the DRT is
         # shallower, so no extra cycles are charged (Section V).
-        entry = self.drt.walk(vma.base)
-        domain = entry.domain if entry is not None else 0
-        return 0, domain
+        domain = vma.pmo_id
+        return 0, (domain if domain in self.attached else 0)
 
     def check_access(self, tid: int, entry: TLBEntry,
                      is_write: bool) -> bool:

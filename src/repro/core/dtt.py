@@ -1,23 +1,29 @@
-"""Domain Translation Table (DTT) — the OS radix tree of MPK virtualization.
+"""Domain Translation Table (DTT) — the OS table of MPK virtualization.
 
-The DTT is an OS-managed, per-process data structure indexed by virtual
-address (Section IV-D).  It is organized hierarchically like a page table:
-directory entries point at the next level, PMO-root entries terminate the
-walk at the level matching the PMO's granule (4KB / 2MB / 1GB).  Each PMO
-root records the domain ID, the protection key the domain currently maps
-to (NULL when unmapped), and the domain permission of every thread — the
-full state from which DTTLB contents and the PKRU can be reconstructed
-after a context switch.
+The DTT is an OS-managed, per-process data structure (Section IV-D).
+In the paper it is a radix tree indexed by virtual address: directory
+entries point at the next level and PMO-root entries terminate the
+walk at the level matching the PMO's granule (4KB / 2MB / 1GB).  Each
+PMO root records the domain ID, the protection key the domain
+currently maps to (NULL when unmapped), and the domain permission of
+every thread — the full state from which DTTLB contents and the PKRU
+can be reconstructed after a context switch.
+
+The model keeps the PMO roots by domain: the hardware handler walks
+the DTT only on a DTTLB miss, for a domain the model already knows (a
+SETPERM's operand, or the PMO of the VMA a TLB miss resolved), and the
+walk is charged as a constant (``dttlb_miss_cycles``), so no replay
+needs the radix levels.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional
 
 from ..permissions import Perm
 from ..errors import DomainError
-from ..os.address_space import GB1, KB4, MB2, VMA
+from ..os.address_space import KB4, VMA
 
 #: Key value meaning "this domain currently maps to no protection key".
 NO_KEY = 0
@@ -45,18 +51,31 @@ class DTTEntry:
         return self.reserved // KB4
 
 
-def _level_indexes(vaddr: int) -> Tuple[int, int, int]:
-    """Radix indexes at the 1GB, 2MB and 4KB levels."""
-    return ((vaddr >> 30) & 0x3FFFF, (vaddr >> 21) & 0x1FF,
-            (vaddr >> 12) & 0x1FF)
+@dataclass
+class DTTLBEntry:
+    """One DTTLB entry: a cached domain's key mapping and the running
+    thread's permission."""
+
+    domain: int
+    key: int
+    perm: Perm
+    valid: bool = True
+    dirty: bool = False
+    dtt_entry: Optional[DTTEntry] = None
+
+    def write_back(self) -> None:
+        """Lazily write this entry's key mapping back into its DTT root
+        (on eviction or on the context-switch flush)."""
+        if self.dtt_entry is not None:
+            self.dtt_entry.key = self.key if self.valid else NO_KEY
 
 
 class DomainTranslationTable:
-    """Radix VA → PMO-root map, walkable by the hardware handler."""
+    """The per-process DTT: one PMO-root entry per attached domain."""
 
     def __init__(self):
-        self._root: Dict[int, object] = {}
         self._by_domain: Dict[int, DTTEntry] = {}
+        #: DTT walks, one per DTTLB miss (the ``dtt.walks`` counter).
         self.walk_count = 0
 
     # -- maintenance (attach / detach system calls) ---------------------------------
@@ -67,64 +86,18 @@ class DomainTranslationTable:
             raise DomainError(f"domain {vma.pmo_id} already in DTT")
         entry = DTTEntry(domain=vma.pmo_id, base=vma.base,
                          reserved=vma.reserved, granule=vma.granule)
-        for chunk_base in range(vma.base, vma.base + vma.reserved,
-                                vma.granule):
-            self._install(chunk_base, vma.granule, entry)
         self._by_domain[vma.pmo_id] = entry
         return entry
 
-    def _install(self, base: int, granule: int, entry: DTTEntry) -> None:
-        i1, i2, i3 = _level_indexes(base)
-        if granule == GB1:
-            self._root[i1] = entry
-            return
-        node = self._root.setdefault(i1, {})
-        if not isinstance(node, dict):
-            raise DomainError(f"VA {base:#x} overlaps a 1GB domain")
-        if granule == MB2:
-            node[i2] = entry
-            return
-        leaf = node.setdefault(i2, {})
-        if not isinstance(leaf, dict):
-            raise DomainError(f"VA {base:#x} overlaps a 2MB domain")
-        leaf[i3] = entry
-
     def remove(self, domain: int) -> DTTEntry:
-        """Remove a detached domain's entries."""
+        """Remove a detached domain's entry."""
         entry = self._by_domain.pop(domain, None)
         if entry is None:
             raise DomainError(f"domain {domain} not in DTT")
-        for chunk_base in range(entry.base, entry.base + entry.reserved,
-                                entry.granule):
-            i1, i2, i3 = _level_indexes(chunk_base)
-            if entry.granule == GB1:
-                self._root.pop(i1, None)
-            elif entry.granule == MB2:
-                node = self._root.get(i1)
-                if isinstance(node, dict):
-                    node.pop(i2, None)
-            else:
-                node = self._root.get(i1)
-                if isinstance(node, dict):
-                    leaf = node.get(i2)
-                    if isinstance(leaf, dict):
-                        leaf.pop(i3, None)
         entry.valid = False
         return entry
 
     # -- lookups -----------------------------------------------------------------------
-
-    def walk(self, vaddr: int) -> Optional[DTTEntry]:
-        """Hardware-handler walk: VA → PMO root (None if domainless)."""
-        self.walk_count += 1
-        i1, i2, i3 = _level_indexes(vaddr)
-        node = self._root.get(i1)
-        if node is None or isinstance(node, DTTEntry):
-            return node
-        node = node.get(i2)
-        if node is None or isinstance(node, DTTEntry):
-            return node
-        return node.get(i3)
 
     def by_domain(self, domain: int) -> DTTEntry:
         entry = self._by_domain.get(domain)

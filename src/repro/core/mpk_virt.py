@@ -1,8 +1,8 @@
 """Hardware MPK Virtualization — the paper's first proposed design.
 
 Builds on MPK: domains still map to the 16 protection keys, but the
-mapping is virtualized.  The OS keeps it in the radix-tree DTT, the DTTLB
-caches it, and a hardware handler reassigns keys on demand (pseudo-LRU
+mapping is virtualized.  The OS keeps it in the DTT, the DTTLB caches
+it, and a hardware handler reassigns keys on demand (pseudo-LRU
 victim).  Every key remap forces a ``Range_Flush`` TLB invalidation of the
 victim domain's pages (286 cycles x threads, Table II); the invalidated
 entries' re-walks are the dominant cost at high domain counts
@@ -24,8 +24,8 @@ from typing import List, Optional
 from ..permissions import Perm, strictest
 from ..mem.tlb import TLBEntry
 from ..os.address_space import VMA
-from .dtt import NO_KEY, DTTEntry, DomainTranslationTable
-from .dttlb import DTTLB, DTTLBEntry
+from .dtt import NO_KEY, DTTEntry, DTTLBEntry, DomainTranslationTable
+from .lookaside import LookasideBuffer
 from .mpk import PKRU
 from .plru import PseudoLRU
 from .schemes import CostDescriptor, ProtectionScheme, register_scheme
@@ -59,7 +59,7 @@ class MPKVirtScheme(ProtectionScheme):
         #: SETPERM reads the same attribute.
         self._switch_cycles = self.config.mpk.wrpkru_cycles
         self.dtt = DomainTranslationTable()
-        self.dttlb = DTTLB(cfg.dttlb_entries)
+        self.dttlb = LookasideBuffer(cfg.dttlb_entries, "dttlb")
         self.pkru = PKRU(cfg.usable_keys)
         # Keys are numbered 1..usable_keys (0 stays the NULL key value in
         # TLB entries of domainless pages); slot i of the PLRU tracks
@@ -158,9 +158,8 @@ class MPKVirtScheme(ProtectionScheme):
                             dtt_entry=dtt_entry)
         victim = self.dttlb.insert(cached)
         self.stats.charge("entry_changes", cfg.dttlb_entry_change_cycles)
-        if victim is not None and victim.dirty and victim.dtt_entry:
-            # Lazy writeback of the evicted entry's key mapping.
-            victim.dtt_entry.key = victim.key if victim.valid else NO_KEY
+        if victim is not None and victim.dirty:
+            victim.write_back()
             self.stats.charge("entry_changes",
                               cfg.dttlb_entry_change_cycles)
         return cached
@@ -216,8 +215,7 @@ class MPKVirtScheme(ProtectionScheme):
         cfg = self.cfg
         dirty = self.dttlb.flush()
         for entry in dirty:
-            if entry.dtt_entry is not None:
-                entry.dtt_entry.key = entry.key if entry.valid else NO_KEY
+            entry.write_back()
             self.stats.charge("entry_changes",
                               cfg.dttlb_entry_change_cycles)
         # Reconstruct the incoming thread's PKRU from the DTT: every

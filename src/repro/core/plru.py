@@ -66,24 +66,3 @@ class PseudoLRU:
     def reset(self) -> None:
         self._bits = [0] * self.n
 
-
-class TrueLRU:
-    """Exact LRU over ``n`` slots — the ablation comparator for PLRU."""
-
-    def __init__(self, n: int):
-        if n < 1:
-            raise ValueError("slot count must be positive")
-        self.n = n
-        self._order = list(range(n))  # front = least recently used
-
-    def touch(self, slot: int) -> None:
-        if not 0 <= slot < self.n:
-            raise IndexError(f"slot {slot} out of range")
-        self._order.remove(slot)
-        self._order.append(slot)
-
-    def victim(self) -> int:
-        return self._order[0]
-
-    def reset(self) -> None:
-        self._order = list(range(self.n))

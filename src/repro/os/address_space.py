@@ -7,13 +7,15 @@ the hierarchy level of the page table"* — 4KB, 2MB or 1GB regions
 PMO does not have to use its whole VA range); PMOs larger than 1GB take
 consecutive 1GB granules.
 
-This alignment is what lets a single DTT/DRT radix entry (base VA + 2-bit
-size field) describe an entire domain.
+This alignment is what lets a single PMO-root entry of the paper's
+radix DTT or DRT (base VA + 2-bit size field) describe an entire domain.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 from ..errors import AddressSpaceError
@@ -77,6 +79,9 @@ class VMA:
         return self.base <= vaddr < self.base + self.size
 
 
+_base = attrgetter("base")
+
+
 class AddressSpace:
     """Sorted VMA list with granule-aligned PMO placement."""
 
@@ -116,11 +121,18 @@ class AddressSpace:
 
         Replay contexts reconstruct an address space from a trace's
         layout; the VMAs must land at the exact recorded bases for the
-        trace's virtual addresses to resolve.
+        trace's virtual addresses to resolve.  A layout may come from
+        disk, so a VMA that overlaps a mapped area is refused.
         """
         if vma.base in self._by_base:
             raise AddressSpaceError(
                 f"VMA base {vma.base:#x} already occupied")
+        vmas = self._vmas
+        i = bisect.bisect(vmas, vma.base, key=_base)
+        if (i and vmas[i - 1].end > vma.base) or \
+                (i < len(vmas) and vmas[i].base < vma.end):
+            raise AddressSpaceError(
+                f"VMA [{vma.base:#x}, {vma.end:#x}) overlaps a mapped area")
         self._insert(vma)
         if vma.base >= VOLATILE_AREA_BASE:
             self._next_volatile = max(self._next_volatile, vma.end)
@@ -136,8 +148,7 @@ class AddressSpace:
         return vma
 
     def _insert(self, vma: VMA) -> None:
-        self._vmas.append(vma)
-        self._vmas.sort(key=lambda v: v.base)
+        bisect.insort(self._vmas, vma, key=_base)
         self._by_base[vma.base] = vma
 
     # -- lookup ----------------------------------------------------------------------

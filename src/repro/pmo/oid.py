@@ -17,7 +17,7 @@ _MASK32 = 0xFFFF_FFFF
 NULL_OID_VALUE = 0
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class OID:
     """A pool pointer: ``(pool_id << 32) | offset``.
 

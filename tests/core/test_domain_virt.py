@@ -120,6 +120,13 @@ class TestDetach:
         domain = h.add_pmo(initial=Perm.R)
         h.access(domain)
         h.scheme.detach_domain(domain)
-        assert domain not in h.scheme.drt
+        assert domain not in h.scheme.attached
         assert domain not in h.scheme.pt
         assert domain not in h.scheme.ptlb
+
+    def test_fill_tags_is_domainless_after_detach(self, h):
+        domain = h.add_pmo(initial=Perm.R)
+        vma = h.vma(domain)
+        assert h.scheme.fill_tags(vma, h.tid) == (0, domain)
+        h.scheme.detach_domain(domain)
+        assert h.scheme.fill_tags(vma, h.tid) == (0, 0)

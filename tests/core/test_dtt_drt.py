@@ -1,9 +1,8 @@
-"""Tests for the DTT and DRT radix tables."""
+"""Tests for the DTT and the DRT: their tables of attached domains."""
 
 import pytest
 
-from repro.core.drt import DomainRangeTable
-from repro.core.dtt import NO_KEY, DomainTranslationTable
+from repro.core.dtt import NO_KEY, DomainTranslationTable, DTTLBEntry
 from repro.errors import DomainError
 from repro.permissions import Perm
 from repro.os.address_space import GB1, KB4, MB2, VMA
@@ -15,43 +14,36 @@ def vma(domain, base, size, granule):
                granule=granule, is_nvm=True)
 
 
-@pytest.fixture(params=[DomainTranslationTable, DomainRangeTable])
-def table(request):
-    return request.param()
+class AttachedDomains:
+    """The DRT as the model keeps it: DomainVirtScheme's attached set,
+    driven through the scheme's attach/detach hooks."""
+
+    def __init__(self, harness):
+        self.scheme = harness("domain_virt").scheme
+
+    def add(self, region):
+        self.scheme.attach_domain(region, Perm.RW)
+
+    def remove(self, domain):
+        self.scheme.detach_domain(domain)
+
+    def __contains__(self, domain):
+        return domain in self.scheme.attached
+
+    def __len__(self):
+        return len(self.scheme.attached)
+
+
+@pytest.fixture(params=["DomainTranslationTable", "DomainRangeTable"])
+def table(request, harness):
+    if request.param == "DomainRangeTable":
+        return AttachedDomains(harness)
+    return DomainTranslationTable()
 
 
 class TestRadixCommon:
-    """Behaviour shared by the DTT and DRT (same radix organisation)."""
-
-    def test_walk_finds_4kb_domain(self, table):
-        table.add(vma(7, 0x2000_0000_0000, KB4, KB4))
-        entry = table.walk(0x2000_0000_0000 + 100)
-        assert entry.domain == 7
-
-    def test_walk_finds_2mb_domain(self, table):
-        table.add(vma(8, 0x2000_0020_0000, MB2, MB2))
-        assert table.walk(0x2000_0020_0000 + MB2 - 1).domain == 8
-
-    def test_walk_finds_1gb_domain(self, table):
-        table.add(vma(9, 0x2000_4000_0000, 8 << 20, GB1))
-        assert table.walk(0x2000_4000_0000 + (5 << 20)).domain == 9
-
-    def test_walk_outside_any_domain_is_null(self, table):
-        table.add(vma(7, 0x2000_0000_0000, KB4, KB4))
-        assert table.walk(0x7000_0000_0000) is None
-
-    def test_adjacent_4kb_domains_are_distinct(self, table):
-        table.add(vma(1, 0x2000_0000_0000, KB4, KB4))
-        table.add(vma(2, 0x2000_0000_1000, KB4, KB4))
-        assert table.walk(0x2000_0000_0000).domain == 1
-        assert table.walk(0x2000_0000_1000).domain == 2
-
-    def test_multi_granule_domain_covers_all_chunks(self, table):
-        # A 3GB PMO takes three consecutive 1GB granules.
-        table.add(vma(3, 0x2000_8000_0000, 3 * GB1, GB1))
-        for chunk in range(3):
-            addr = 0x2000_8000_0000 + chunk * GB1 + 12345
-            assert table.walk(addr).domain == 3
+    """By-domain behaviour shared by the DTT and the DRT (in hardware,
+    radix tables of PMO-root entries)."""
 
     def test_duplicate_domain_rejected(self, table):
         table.add(vma(5, 0x2000_0000_0000, KB4, KB4))
@@ -61,8 +53,9 @@ class TestRadixCommon:
     def test_remove_clears_mapping(self, table):
         table.add(vma(5, 0x2000_0000_0000, KB4, KB4))
         table.remove(5)
-        assert table.walk(0x2000_0000_0000) is None
-        assert 5 not in table
+        assert 5 not in table and len(table) == 0
+        with pytest.raises(DomainError):
+            table.remove(5)
 
     def test_remove_unknown_domain(self, table):
         with pytest.raises(DomainError):
@@ -73,12 +66,6 @@ class TestRadixCommon:
         table.add(vma(2, 0x2000_4000_0000, MB2, MB2))
         assert len(table) == 2
         assert 1 in table and 2 in table and 3 not in table
-
-    def test_walk_count_increments(self, table):
-        table.add(vma(1, 0x2000_0000_0000, KB4, KB4))
-        table.walk(0x2000_0000_0000)
-        table.walk(0x2000_0000_0000)
-        assert table.walk_count == 2
 
 
 class TestDTTSpecifics:
@@ -112,3 +99,14 @@ class TestDTTSpecifics:
         entry = dtt.add(vma(1, 0x2000_0000_0000, KB4, KB4))
         dtt.remove(1)
         assert not entry.valid
+
+    def test_dttlb_entry_writes_its_key_back(self):
+        dtt = DomainTranslationTable()
+        root = dtt.add(vma(1, 0x2000_0000_0000, KB4, KB4))
+        cached = DTTLBEntry(domain=1, key=3, perm=Perm.R, dirty=True,
+                            dtt_entry=root)
+        cached.write_back()
+        assert root.key == 3
+        cached.valid = False
+        cached.write_back()
+        assert root.key == NO_KEY

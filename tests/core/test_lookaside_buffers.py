@@ -1,43 +1,60 @@
-"""Tests for the DTTLB and PTLB hardware buffers."""
+"""Tests for the lookaside buffer, as the DTTLB and as the PTLB."""
 
 import pytest
 
-from repro.core.dttlb import DTTLB, DTTLBEntry
-from repro.core.permission_table import PTLB, PermissionTable, PTLBEntry
+from repro.core.dtt import DTTLBEntry
+from repro.core.lookaside import LookasideBuffer
+from repro.core.permission_table import PermissionTable, PTLBEntry
+from repro.obs.metrics import MetricsRegistry
 from repro.permissions import Perm
 
 
-class TestDTTLB:
-    def make_entry(self, domain, key=1, perm=Perm.RW):
-        return DTTLBEntry(domain=domain, key=key, perm=perm)
+class BufferTests:
+    """Every buffer behaviour, run once per entry kind (the subclasses)."""
+
+    name = ""
+
+    def make_entry(self, domain, perm=Perm.RW, dirty=False):
+        raise NotImplementedError
+
+    def buffer(self, entries):
+        return LookasideBuffer(entries, self.name)
 
     def test_power_of_two_required(self):
         with pytest.raises(ValueError):
-            DTTLB(12)
+            self.buffer(12)
 
     def test_miss_then_hit(self):
-        buf = DTTLB(16)
+        buf = self.buffer(16)
         assert buf.lookup(5) is None
-        buf.insert(self.make_entry(5))
-        assert buf.lookup(5).domain == 5
+        buf.insert(self.make_entry(5, perm=Perm.R))
+        entry = buf.lookup(5)
+        assert entry.domain == 5 and entry.perm == Perm.R
         assert buf.hits == 1 and buf.misses == 1
 
     def test_capacity_and_eviction(self):
-        buf = DTTLB(4)
+        buf = self.buffer(4)
         for domain in range(5):
             buf.insert(self.make_entry(domain))
         assert len(buf) == 4
 
+    def test_eviction_at_capacity(self):
+        buf = self.buffer(4)
+        victims = [buf.insert(self.make_entry(d)) for d in range(6)]
+        assert len(buf) == 4
+        assert sum(v is not None for v in victims) == 2
+
     def test_eviction_returns_victim(self):
-        buf = DTTLB(2)
+        buf = self.buffer(2)
         buf.insert(self.make_entry(1))
         buf.insert(self.make_entry(2))
         victim = buf.insert(self.make_entry(3))
         assert victim is not None
         assert victim.domain in (1, 2)
+        assert victim.domain not in buf
 
     def test_plru_spares_recent(self):
-        buf = DTTLB(4)
+        buf = self.buffer(4)
         for domain in range(4):
             buf.insert(self.make_entry(domain))
         buf.lookup(3)
@@ -45,39 +62,49 @@ class TestDTTLB:
         assert victim.domain != 3
 
     def test_reinsert_same_domain_updates_in_place(self):
-        buf = DTTLB(4)
-        buf.insert(self.make_entry(1, key=2))
-        assert buf.insert(self.make_entry(1, key=5)) is None
-        assert buf.lookup(1).key == 5
+        buf = self.buffer(4)
+        buf.insert(self.make_entry(1, perm=Perm.R))
+        assert buf.insert(self.make_entry(1, perm=Perm.RW)) is None
+        assert buf.lookup(1).perm == Perm.RW
+        assert len(buf) == 1
 
     def test_invalidate(self):
-        buf = DTTLB(4)
+        buf = self.buffer(4)
         buf.insert(self.make_entry(1))
         removed = buf.invalidate(1)
         assert removed.domain == 1
+        assert 1 not in buf
         assert buf.lookup(1) is None
         assert buf.invalidate(1) is None
 
     def test_flush_returns_only_dirty(self):
-        buf = DTTLB(4)
-        clean = self.make_entry(1)
-        dirty = self.make_entry(2)
-        dirty.dirty = True
-        buf.insert(clean)
-        buf.insert(dirty)
+        buf = self.buffer(4)
+        buf.insert(self.make_entry(1))
+        buf.insert(self.make_entry(2, dirty=True))
         flushed = buf.flush()
         assert [e.domain for e in flushed] == [2]
         assert len(buf) == 0
 
+    def test_flush_returns_dirty_for_pt_writeback(self):
+        # The writeback counter counts what a flush hands back for
+        # writing to the DTT or the PT.
+        buf = self.buffer(4)
+        buf.insert(self.make_entry(1, dirty=True))
+        buf.insert(self.make_entry(2))
+        buf.insert(self.make_entry(3, dirty=True))
+        assert sorted(e.domain for e in buf.flush()) == [1, 3]
+        assert buf.writebacks == 2
+        assert buf.flush() == [] and buf.writebacks == 2
+
     def test_peek_does_not_count(self):
-        buf = DTTLB(4)
+        buf = self.buffer(4)
         buf.insert(self.make_entry(1))
-        buf.peek(1)
-        buf.peek(2)
+        assert buf.peek(1).domain == 1
+        assert buf.peek(2) is None
         assert buf.hits == 0 and buf.misses == 0
 
     def test_slot_reuse_after_invalidate(self):
-        buf = DTTLB(2)
+        buf = self.buffer(2)
         buf.insert(self.make_entry(1))
         buf.insert(self.make_entry(2))
         buf.invalidate(1)
@@ -85,34 +112,33 @@ class TestDTTLB:
         assert buf.insert(self.make_entry(3)) is None
         assert len(buf) == 2
 
+    def test_report_metrics_names(self):
+        buf = self.buffer(2)
+        buf.lookup(1)
+        buf.insert(self.make_entry(1, dirty=True))
+        buf.lookup(1)
+        buf.flush()
+        registry = MetricsRegistry()
+        buf.report_metrics(registry)
+        assert sorted(registry.names()) == [
+            f"{self.name}.hits", f"{self.name}.misses",
+            f"{self.name}.writebacks"]
+        assert [registry.value(f"{self.name}.{counter}")
+                for counter in ("hits", "misses", "writebacks")] == [1, 1, 1]
 
-class TestPTLB:
-    def test_miss_then_hit(self):
-        buf = PTLB(16)
-        assert buf.lookup(5) is None
-        buf.insert(PTLBEntry(domain=5, perm=Perm.R))
-        assert buf.lookup(5).perm == Perm.R
 
-    def test_eviction_at_capacity(self):
-        buf = PTLB(4)
-        victims = [buf.insert(PTLBEntry(domain=d, perm=Perm.R))
-                   for d in range(6)]
-        assert len(buf) == 4
-        assert sum(v is not None for v in victims) == 2
+class TestDTTLB(BufferTests):
+    name = "dttlb"
 
-    def test_flush_returns_dirty_for_pt_writeback(self):
-        buf = PTLB(4)
-        entry = PTLBEntry(domain=1, perm=Perm.RW, dirty=True)
-        buf.insert(entry)
-        buf.insert(PTLBEntry(domain=2, perm=Perm.R))
-        assert [e.domain for e in buf.flush()] == [1]
-        assert buf.writebacks == 1
+    def make_entry(self, domain, perm=Perm.RW, dirty=False):
+        return DTTLBEntry(domain=domain, key=1, perm=perm, dirty=dirty)
 
-    def test_invalidate(self):
-        buf = PTLB(4)
-        buf.insert(PTLBEntry(domain=3, perm=Perm.R))
-        assert buf.invalidate(3).domain == 3
-        assert 3 not in buf
+
+class TestPTLB(BufferTests):
+    name = "ptlb"
+
+    def make_entry(self, domain, perm=Perm.RW, dirty=False):
+        return PTLBEntry(domain=domain, perm=perm, dirty=dirty)
 
 
 class TestPermissionTable:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs.metrics import MetricsRegistry
 from repro.permissions import Perm
 
 
@@ -149,3 +150,18 @@ class TestDetach:
         free_before = len(h.scheme.free_keys)
         h.scheme.detach_domain(domain)
         assert len(h.scheme.free_keys) == free_before + 1
+
+
+class TestMetrics:
+    def test_dtt_walks_count_dttlb_misses(self, h):
+        domains = [h.add_pmo(size=1 << 20, initial=Perm.R)
+                   for _ in range(20)]
+        for domain in domains:
+            h.access(domain)
+        h.context_switch(h.tid, h.tid)
+        h.setperm(domains[0], Perm.RW)
+        registry = MetricsRegistry()
+        h.scheme.report_metrics(registry)
+        walks = registry.value("dtt.walks")
+        assert walks == registry.value("dttlb.misses")
+        assert walks == h.stats.dttlb_misses == 21

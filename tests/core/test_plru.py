@@ -1,10 +1,10 @@
-"""Tests for the tree pseudo-LRU and exact-LRU policies."""
+"""Tests for the tree pseudo-LRU policy."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.plru import PseudoLRU, TrueLRU
+from repro.core.plru import PseudoLRU
 
 
 class TestPseudoLRU:
@@ -53,25 +53,3 @@ class TestPseudoLRU:
             plru.touch(slot)
         assert plru.victim() != touches[-1]
 
-
-class TestTrueLRU:
-    def test_victim_is_least_recent(self):
-        lru = TrueLRU(4)
-        for slot in (0, 1, 2, 3, 0, 1):
-            lru.touch(slot)
-        assert lru.victim() == 2
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            TrueLRU(0)
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.lists(st.integers(0, 7), min_size=8, max_size=64))
-    def test_matches_reference_model(self, touches):
-        lru = TrueLRU(8)
-        order = list(range(8))
-        for slot in touches:
-            lru.touch(slot)
-            order.remove(slot)
-            order.append(slot)
-        assert lru.victim() == order[0]

@@ -1,10 +1,8 @@
-"""Tests for the 4-level page table."""
+"""Tests for the page table."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import PageFault
 from repro.permissions import Perm
 from repro.mem.page_table import PTE, PageTable, vpn_of
 
@@ -22,24 +20,13 @@ class TestMapping:
     def test_get_unmapped_is_none(self):
         assert PageTable().get(1) is None
 
-    def test_walk_unmapped_faults(self):
-        with pytest.raises(PageFault):
-            PageTable().walk(0x99)
-
-    def test_walk_counts(self):
-        pt = PageTable()
-        pt.map_page(5, pte())
-        pt.walk(5)
-        pt.walk(5)
-        assert pt.walk_count == 2
-
     def test_unmap(self):
         pt = PageTable()
-        pt.map_page(5, pte())
+        pt.map_page(5, pte(domain=2))
         pt.unmap_page(5)
         assert pt.get(5) is None
-        with pytest.raises(PageFault):
-            pt.walk(5)
+        assert pt.mapped_pages == 0
+        assert pt.mapped_pages_of_domain(2) == 0
 
     def test_unmap_unmapped_is_noop(self):
         PageTable().unmap_page(12345)
@@ -58,13 +45,17 @@ class TestMapping:
 
     @settings(max_examples=30, deadline=None)
     @given(st.sets(st.integers(0, 2**36 - 1), min_size=1, max_size=50))
-    def test_radix_and_flat_agree(self, vpns):
-        """The radix walk and the flat index always return the same PTE."""
+    def test_get_returns_the_mapped_pte(self, vpns):
+        """Over the whole 36-bit vpn space, ``get`` returns the entry
+        ``map_page`` installed, and ``entries`` lists each once."""
         pt = PageTable()
+        installed = {}
         for i, vpn in enumerate(sorted(vpns)):
-            pt.map_page(vpn, pte(pfn=i))
+            installed[vpn] = pte(pfn=i)
+            pt.map_page(vpn, installed[vpn])
         for vpn in vpns:
-            assert pt.walk(vpn) is pt.get(vpn)
+            assert pt.get(vpn) is installed[vpn]
+        assert dict(pt.entries()) == installed
 
 
 class TestPkeyRewrites:
@@ -94,10 +85,3 @@ class TestPkeyRewrites:
         assert pt.mapped_pages_of_domain(7) == 4
         pt.unmap_page(0)
         assert pt.mapped_pages_of_domain(7) == 3
-
-    def test_set_domain_range_moves_index(self):
-        pt = PageTable()
-        pt.map_page(0, pte(domain=1))
-        pt.set_domain_range(0, 1, 2)
-        assert pt.mapped_pages_of_domain(1) == 0
-        assert pt.mapped_pages_of_domain(2) == 1

@@ -10,6 +10,7 @@ import pathlib
 
 import pytest
 
+import repro
 from repro import obs
 from repro.engine import TraceCache
 from repro.experiments.runner import ExperimentRunner
@@ -63,6 +64,14 @@ class TestMetricsTable:
         for row in rows:
             name = _code(row[0])
             assert row[2] == schema.METRICS[name][1], name
+
+    def test_sources_name_existing_modules(self):
+        package = pathlib.Path(repro.__file__).parent
+        for name, (_mtype, source, _desc) in schema.METRICS.items():
+            module = package / source
+            assert module.with_suffix(".py").is_file() or \
+                (module / "__init__.py").is_file(), \
+                f"{name}: source {source!r} names no module in src/repro"
 
 
 class TestEventsTable:

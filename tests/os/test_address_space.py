@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import AddressSpaceError
-from repro.os.address_space import (GB1, KB4, MB2, AddressSpace,
-                                    granule_for_size, region_span)
+from repro.os.address_space import (GB1, KB4, MB2, PMO_AREA_BASE, VMA,
+                                    AddressSpace, granule_for_size,
+                                    region_span)
 
 
 class TestGranuleRule:
@@ -103,3 +104,51 @@ class TestFind:
         for vma in vmas:
             assert space.find(vma.base) is vma
             assert space.find(vma.base + vma.size - 1) is vma
+
+
+def pmo_vma(base, pages, pmo_id=1):
+    return VMA(base=base, reserved=pages * KB4, size=pages * KB4,
+               pmo_id=pmo_id, is_nvm=True)
+
+
+class TestAdopt:
+    """Replay contexts rebuild an address space from a trace layout."""
+
+    def test_overlapping_adopt_rejected(self):
+        space = AddressSpace()
+        space.adopt(pmo_vma(PMO_AREA_BASE + 4 * KB4, 4))
+        for base, pages in ((PMO_AREA_BASE + 2 * KB4, 3),   # from below
+                            (PMO_AREA_BASE + 7 * KB4, 2),   # from above
+                            (PMO_AREA_BASE + 5 * KB4, 1),   # inside
+                            (PMO_AREA_BASE, 16),            # around
+                            (PMO_AREA_BASE + 4 * KB4, 1)):  # same base
+            with pytest.raises(AddressSpaceError):
+                space.adopt(pmo_vma(base, pages, pmo_id=2))
+        assert [v.base for v in space.vmas()] == [PMO_AREA_BASE + 4 * KB4]
+        # Touching neighbours on either side do not overlap.
+        space.adopt(pmo_vma(PMO_AREA_BASE + 8 * KB4, 1, pmo_id=3))
+        space.adopt(pmo_vma(PMO_AREA_BASE, 4, pmo_id=4))
+        assert [v.pmo_id for v in space.vmas()] == [4, 1, 3]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 63), st.integers(1, 8)),
+                    min_size=1, max_size=24))
+    def test_adopt_refuses_exactly_the_overlaps(self, spans):
+        """Any adopt order: a VMA lands iff it overlaps none already
+        present, and ``vmas()`` stays sorted by base."""
+        space = AddressSpace()
+        kept = []
+        for i, (page, pages) in enumerate(spans):
+            vma = pmo_vma(PMO_AREA_BASE + page * KB4, pages, pmo_id=i + 1)
+            overlaps = any(vma.base < other.end and other.base < vma.end
+                           for other in kept)
+            if overlaps:
+                with pytest.raises(AddressSpaceError):
+                    space.adopt(vma)
+            else:
+                space.adopt(vma)
+                kept.append(vma)
+        assert space.vmas() == sorted(kept, key=lambda v: v.base)
+        for vma in kept:
+            assert space.find(vma.base + vma.size - 1) is vma
+

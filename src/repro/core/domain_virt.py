@@ -63,7 +63,6 @@ class DomainVirtScheme(ProtectionScheme):
         if vma.pmo_id in self.attached:
             raise DomainError(f"domain {vma.pmo_id} already attached")
         self.attached.add(vma.pmo_id)
-        self.pt.register_domain(vma.pmo_id)
 
     def detach_domain(self, domain: int) -> None:
         if domain not in self.attached:

@@ -23,7 +23,7 @@ from typing import Dict, Optional
 
 from ..permissions import Perm
 from ..errors import DomainError
-from ..os.address_space import KB4, VMA
+from ..os.address_space import VMA
 
 #: Key value meaning "this domain currently maps to no protection key".
 NO_KEY = 0
@@ -34,9 +34,6 @@ class DTTEntry:
     """A PMO-root entry of the DTT."""
 
     domain: int
-    base: int           #: base VA of the domain's region
-    reserved: int       #: reserved VA bytes (multiple of the granule)
-    granule: int
     key: int = NO_KEY
     valid: bool = True
     #: Per-thread domain permission (the paper: "DTT keeps permission for
@@ -45,10 +42,6 @@ class DTTEntry:
 
     def perm_for(self, tid: int) -> Perm:
         return self.perms.get(tid, Perm.NONE)
-
-    @property
-    def n_pages(self) -> int:
-        return self.reserved // KB4
 
 
 @dataclass
@@ -84,8 +77,7 @@ class DomainTranslationTable:
         """Install a PMO-root entry for an attached PMO's region."""
         if vma.pmo_id in self._by_domain:
             raise DomainError(f"domain {vma.pmo_id} already in DTT")
-        entry = DTTEntry(domain=vma.pmo_id, base=vma.base,
-                         reserved=vma.reserved, granule=vma.granule)
+        entry = DTTEntry(domain=vma.pmo_id)
         self._by_domain[vma.pmo_id] = entry
         return entry
 

@@ -12,7 +12,7 @@ entries are written back to the PT on eviction or context switch
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from ..permissions import Perm
 
@@ -24,9 +24,6 @@ class PermissionTable:
         self._perms: Dict[int, Dict[int, Perm]] = {}
         self.lookups = 0
 
-    def register_domain(self, domain: int) -> None:
-        self._perms.setdefault(domain, {})
-
     def drop_domain(self, domain: int) -> None:
         self._perms.pop(domain, None)
 
@@ -36,12 +33,6 @@ class PermissionTable:
 
     def set(self, domain: int, tid: int, perm: Perm) -> None:
         self._perms.setdefault(domain, {})[tid] = perm
-
-    def __contains__(self, domain: int) -> bool:
-        return domain in self._perms
-
-    def domains(self) -> List[int]:
-        return sorted(self._perms)
 
     def report_metrics(self, registry) -> None:
         """Report the lookup counter into an obs MetricsRegistry

@@ -105,14 +105,6 @@ class ProtectionFault(ProtectionError):
         self.is_write = is_write
 
 
-class PageFault(ProtectionError):
-    """An access touched an unmapped virtual page."""
-
-    def __init__(self, message: str, *, vaddr: int = 0):
-        super().__init__(message)
-        self.vaddr = vaddr
-
-
 class DomainError(ProtectionError):
     """Domain bookkeeping misuse (unknown domain ID, double registration)."""
 

@@ -8,7 +8,8 @@ paper's sweep.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+import struct
+from typing import Iterable, List, Optional, Tuple
 
 from ...pmo.oid import NULL_OID, OID
 from ..base import PoolHandle, Workspace
@@ -23,6 +24,9 @@ NODE_SIZE = 64
 
 LEFT = OFF_LEFT
 RIGHT = OFF_RIGHT
+
+#: A node's five fields (key, value, left, right, height) in address order.
+_FIELDS = struct.Struct("<5Q")
 
 
 class PersistentAVL:
@@ -141,6 +145,110 @@ class PersistentAVL:
         self._relink(path, len(path), node)
         self.ps.write_count(self.ps.read_count() + 1)
         self._rebalance_path(path, early_exit=True)
+
+    def populate(self, keys: Iterable[int]) -> None:
+        """Fill an empty tree with ``keys``, each key its own value.
+
+        The result equals ``insert(key, key)`` per key under
+        ``untraced()``: the same pool bytes, heap state, RNG draws and
+        page faults in the same order.  Each step runs ``insert``'s
+        search, rotations and early-exit rebalance on list nodes and
+        allocates through :meth:`PoolSet.alloc_node` where ``insert``
+        would, consuming ``keys`` one at a time, so key draws and
+        pool-picking draws interleave as they do under ``insert``.
+        Then each node's fields are written once, in allocation order:
+        during population only a new node's first write can fault a
+        page, so this faults the same pages in the same order.
+        """
+        if self.mem.recording:
+            raise RuntimeError("populate records no accesses; "
+                               "call it inside untraced()")
+        if not is_null(self.ps.read_entry()):
+            raise ValueError("populate needs an empty tree")
+        # List node 0 is the null child: height 0, OID NULL.  Children
+        # are indexed by direction: 0 left, 1 right.
+        node_keys = [0]
+        kids = [[0, 0]]
+        heights = [0]
+        oids = [NULL_OID]
+        root = 0
+
+        def relink(path: List[Tuple[int, int]], index: int,
+                   subtree: int) -> None:
+            nonlocal root
+            if index:
+                parent, direction = path[index - 1]
+                kids[parent][direction] = subtree
+            else:
+                root = subtree
+
+        def refresh(node: int) -> None:
+            left, right = kids[node]
+            heights[node] = 1 + max(heights[left], heights[right])
+
+        def rotate(node: int, heavy: int) -> int:
+            """Lift ``node``'s child on side ``heavy``; returns it."""
+            child = kids[node][heavy]
+            kids[node][heavy] = kids[child][1 - heavy]
+            kids[child][1 - heavy] = node
+            refresh(node)
+            refresh(child)
+            return child
+
+        def balance(node: int) -> int:
+            left, right = kids[node]
+            return heights[left] - heights[right]
+
+        def rebalance(node: int) -> int:
+            """Restore |balance| <= 1 at ``node``; returns the subtree root."""
+            tilt = balance(node)
+            if tilt > 1:
+                left = kids[node][0]
+                if balance(left) < 0:
+                    kids[node][0] = rotate(left, 1)
+                return rotate(node, 0)
+            if tilt < -1:
+                right = kids[node][1]
+                if balance(right) > 0:
+                    kids[node][1] = rotate(right, 0)
+                return rotate(node, 1)
+            refresh(node)
+            return node
+
+        for key in keys:
+            path: List[Tuple[int, int]] = []
+            cur = root
+            while cur:
+                node_key = node_keys[cur]
+                if key == node_key:
+                    break  # insert would rewrite the value it already holds
+                direction = 0 if key < node_key else 1
+                path.append((cur, direction))
+                cur = kids[cur][direction]
+            if cur:
+                continue
+            oids.append(self.ps.alloc_node(NODE_SIZE))
+            node_keys.append(key)
+            kids.append([0, 0])
+            heights.append(1)
+            relink(path, len(path), len(oids) - 1)
+            for i in range(len(path) - 1, -1, -1):
+                node = path[i][0]
+                old_height = heights[node]
+                subtree = rebalance(node)
+                if subtree != node:
+                    relink(path, i, subtree)
+                if heights[subtree] == old_height:
+                    break  # subtree height unchanged: the early exit
+
+        for node in range(1, len(oids)):
+            left, right = kids[node]
+            self.mem.write_bytes(oids[node], OFF_KEY, _FIELDS.pack(
+                node_keys[node], node_keys[node], oids[left].pack(),
+                oids[right].pack(), heights[node]))
+        if root:
+            self.ps.write_entry(oids[root])
+            self.ps.write_count(len(oids) - 1)
 
     def lookup(self, key: int) -> Optional[int]:
         cur = self.ps.read_entry()

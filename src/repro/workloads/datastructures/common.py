@@ -35,8 +35,10 @@ class PoolSet:
         self.ws = workspace
         self.mem: PMem = workspace.mem
         self.pools = pools
-        #: Probability that a new node lands in a random non-home pool —
-        #: the paper's "data structures contain nodes in different PMOs".
+        #: Probability that a new node's pool is drawn uniformly from all
+        #: of ``pools``, the home pool included (so a spilled node leaves
+        #: home with probability ``(n - 1) / n``) — the paper's "data
+        #: structures contain nodes in different PMOs".
         self.spill = spill
         #: Minimum node alignment.  4096 scatters 64-byte nodes one per
         #: page, reproducing the TLB pressure of the paper's 8MB pools.
@@ -45,7 +47,8 @@ class PoolSet:
             self.anchor: OID = pools[0].pool.root(self.ANCHOR_SIZE)
 
     def pick_pool(self) -> PoolHandle:
-        """Home pool, or (with probability ``spill``) a random other one."""
+        """Home pool, or (with probability ``spill``) a pool drawn
+        uniformly from all of them, the home pool included."""
         pools = self.pools
         if len(pools) == 1:
             return pools[0]

@@ -4,11 +4,11 @@ Setup (Section V): ``n_pools`` pools of 8MB, each a pool of nodes for the
 benchmark's data structure; the structures collectively contain nodes in
 different PMOs.  Every operation randomly selects a PMO to operate on:
 its structure's *home* pool, with a configurable ``spill`` fraction of
-nodes allocated in other pools so traversals hop domains.  Operations are
-90% inserts / 10% deletes (String Swap performs swaps).  Write permission
-for a PMO is granted around each data-structure operation
-(grant-on-first-write, revoke at operation end) and every thread holds
-read permission on all PMOs.
+nodes allocated in a pool drawn from all of them, so traversals hop
+domains.  Operations are 90% inserts / 10% deletes (String Swap performs
+swaps).  Write permission for a PMO is granted around each
+data-structure operation (grant-on-first-write, revoke at operation end)
+and every thread holds read permission on all PMOs.
 
 Nodes are spaced ``node_align`` bytes apart so each pool's page footprint
 matches the paper's (1K dense 64-byte nodes = 16 pages per pool): with few
@@ -22,7 +22,7 @@ The paper varies the number of active PMOs from 16 to 1024; that is the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import List, Tuple
+from typing import Iterator, List, Tuple
 
 from ..cpu.trace import Trace
 from ..permissions import Perm
@@ -57,7 +57,8 @@ class MicroParams:
     operations: int = 2000
     insert_fraction: float = 0.9
     seed: int = 7
-    #: Fraction of node allocations landing in a random non-home pool.
+    #: Fraction of node allocations placed in a pool drawn uniformly from
+    #: all ``n_pools``, the home pool included.
     spill: float = 0.2
     #: Strings per array (SS).
     ss_strings: int = 96
@@ -89,6 +90,18 @@ class MicroParams:
 
 def _key(rng) -> int:
     return rng.getrandbits(48) + 1
+
+
+def _drawn_keys(rng, n: int, live: List[int]) -> Iterator[int]:
+    """Draw ``n`` keys one at a time, recording each in ``live``.
+
+    Lazy, so a consumer's own draws (a node's pool pick) fall between
+    consecutive key draws.
+    """
+    for _ in range(n):
+        key = _key(rng)
+        live.append(key)
+        yield key
 
 
 class ZipfSampler:
@@ -184,11 +197,12 @@ class _StructuredSuite:
                         key = _key(rng)
                         struct.insert_at(rng.randrange(j + 1), key, key)
                         keys.append(key)
+                elif cls is PersistentAVL:
+                    struct.populate(_drawn_keys(rng, params.initial_nodes,
+                                                keys))
                 else:
-                    for _ in range(params.initial_nodes):
-                        key = _key(rng)
+                    for key in _drawn_keys(rng, params.initial_nodes, keys):
                         struct.insert(key, key)
-                        keys.append(key)
             self.live.append(keys)
 
     def operate(self, tid=None) -> None:

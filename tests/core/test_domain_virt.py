@@ -119,9 +119,10 @@ class TestDetach:
     def test_detach_clears_all_state(self, h):
         domain = h.add_pmo(initial=Perm.R)
         h.access(domain)
+        assert h.scheme.pt.get(domain, h.tid) == Perm.R
         h.scheme.detach_domain(domain)
         assert domain not in h.scheme.attached
-        assert domain not in h.scheme.pt
+        assert h.scheme.pt.get(domain, h.tid) == Perm.NONE
         assert domain not in h.scheme.ptlb
 
     def test_fill_tags_is_domainless_after_detach(self, h):

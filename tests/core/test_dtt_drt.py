@@ -89,11 +89,6 @@ class TestDTTSpecifics:
         with pytest.raises(DomainError):
             dtt.by_domain(5)
 
-    def test_n_pages(self):
-        dtt = DomainTranslationTable()
-        entry = dtt.add(vma(1, 0x2000_0000_0000, 8 << 20, GB1))
-        assert entry.n_pages == GB1 // KB4
-
     def test_removed_entry_marked_invalid(self):
         dtt = DomainTranslationTable()
         entry = dtt.add(vma(1, 0x2000_0000_0000, KB4, KB4))

@@ -156,11 +156,12 @@ class TestPermissionTable:
 
     def test_register_and_drop_domain(self):
         pt = PermissionTable()
-        pt.register_domain(5)
-        assert 5 in pt
         pt.set(5, 1, Perm.RW)
+        pt.set(6, 1, Perm.R)
         pt.drop_domain(5)
-        assert 5 not in pt
+        assert pt.get(5, 1) == Perm.NONE
+        assert pt.get(6, 1) == Perm.R
+        pt.drop_domain(5)  # an unknown domain: nothing to drop
         assert pt.get(5, 1) == Perm.NONE
 
     def test_lookup_counter(self):
@@ -168,9 +169,3 @@ class TestPermissionTable:
         pt.get(1, 1)
         pt.get(1, 1)
         assert pt.lookups == 2
-
-    def test_domains_listing(self):
-        pt = PermissionTable()
-        pt.register_domain(3)
-        pt.register_domain(1)
-        assert pt.domains() == [1, 3]

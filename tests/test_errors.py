@@ -24,7 +24,7 @@ class TestHierarchy:
         assert issubclass(exc, errors.ReproError)
 
     @pytest.mark.parametrize("exc", [
-        errors.ProtectionFault, errors.PageFault, errors.DomainError,
+        errors.ProtectionFault, errors.DomainError,
     ])
     def test_protection_errors(self, exc):
         assert issubclass(exc, errors.ProtectionError)
@@ -42,7 +42,3 @@ class TestFaultPayloads:
         assert fault.domain == 3
         assert fault.thread == 7
         assert fault.is_write
-
-    def test_page_fault_carries_address(self):
-        fault = errors.PageFault("segv", vaddr=0xdead000)
-        assert fault.vaddr == 0xdead000

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.pmo.storage import PAGE_SIZE
 from repro.workloads.base import UnprotectedPolicy, Workspace
 from repro.workloads.datastructures import (PersistentAVL,
                                             PersistentBPlusTree,
@@ -27,8 +28,8 @@ ops_strategy = st.lists(
     min_size=1, max_size=120)
 
 
-def make_workspace(pools=3):
-    ws = Workspace(UnprotectedPolicy(), seed=3)
+def make_workspace(pools=3, seed=3):
+    ws = Workspace(UnprotectedPolicy(), seed=seed)
     handles = [ws.create_and_attach(f"p{i}", 8 << 20) for i in range(pools)]
     return ws, handles
 
@@ -99,6 +100,84 @@ class TestAVLBalance:
         for key in range(1, 100):
             avl.delete(key)
         avl.check_invariants()
+
+
+@st.composite
+def avl_populations(draw):
+    """Pools, keys (sometimes from 8 values, so duplicates occur) and the
+    node placement of one avl population."""
+    key = st.integers(1, 8) if draw(st.booleans()) else \
+        st.integers(1, 1 << 48)
+    n_keys = draw(st.integers(0, 200))
+    return {"pools": draw(st.integers(1, 6)),
+            "keys": draw(st.lists(key, min_size=n_keys, max_size=n_keys)),
+            "spill": draw(st.floats(0.0, 1.0)),
+            "node_align": draw(st.sampled_from([8, 64, 512, 4096])),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+def drawn(ws, keys):
+    """``keys``, one workspace RNG draw before each, as the micro suite
+    draws its keys: a consumer that read ahead would move the pool
+    picks of the nodes it allocates."""
+    for key in keys:
+        ws.rng.random()
+        yield key
+
+
+def avl_state(ws, avl):
+    """Everything an untraced population can change."""
+    heaps = []
+    for _, handle in sorted(ws.pools.items()):
+        memory, heap = handle.pool.memory, handle.pool.heap
+        pages = [(index, memory.read(index * PAGE_SIZE, PAGE_SIZE))
+                 for index in memory.touched_page_indexes()]
+        heaps.append((pages, heap.heap_top, heap.live_allocations,
+                      heap.free_chunks(), list(heap._class_counts)))
+    frames = ws.kernel.physical_memory
+    with ws.untraced():
+        return (heaps, list(ws.process.page_table.entries()),
+                ws.kernel.page_faults, frames._next_dram, frames._next_nvm,
+                ws.rng.getstate(), avl.keys(), avl.check_invariants(),
+                len(avl))
+
+
+class TestAVLPopulate:
+    """``populate`` equals ``insert(key, key)`` per key under
+    ``untraced()``: pool bytes, heaps, page faults in order, frame
+    cursors and RNG draws."""
+
+    @staticmethod
+    def tree(case):
+        ws, handles = make_workspace(pools=case["pools"], seed=case["seed"])
+        return ws, PersistentAVL(ws, handles, spill=case["spill"],
+                                 node_align=case["node_align"])
+
+    @settings(max_examples=60, deadline=None)
+    @given(avl_populations())
+    def test_equals_untraced_inserts(self, case):
+        ws, avl = self.tree(case)
+        with ws.untraced():
+            avl.populate(drawn(ws, case["keys"]))
+        ref_ws, ref = self.tree(case)
+        with ref_ws.untraced():
+            for key in drawn(ref_ws, case["keys"]):
+                ref.insert(key, key)
+        assert avl_state(ws, avl) == avl_state(ref_ws, ref)
+
+    def test_refuses_while_recording(self):
+        ws, handles = make_workspace()
+        avl = PersistentAVL(ws, handles)
+        with pytest.raises(RuntimeError):
+            avl.populate([1, 2, 3])
+        assert len(avl) == 0
+
+    def test_refuses_a_non_empty_tree(self):
+        ws, handles = make_workspace()
+        avl = PersistentAVL(ws, handles)
+        avl.insert(5, 5)
+        with ws.untraced(), pytest.raises(ValueError):
+            avl.populate([1, 2, 3])
 
 
 class TestRBTreeProperties:
@@ -271,4 +350,6 @@ class TestHashMap:
                 collect(avl.mem.read_oid(node, avl_mod.OFF_LEFT))
                 collect(avl.mem.read_oid(node, avl_mod.OFF_RIGHT))
             collect(avl.ps.read_entry())
+        # A spilled node may land in any pool of the set, home included.
         assert len(pools_used) > 1
+        assert handles[0].pool.pool_id in pools_used

@@ -37,6 +37,12 @@ PARAMS = MicroParams(benchmark="rbt", n_pools=32, initial_nodes=48,
 PARAMS_ERIM = MicroParams(benchmark="rbt", n_pools=16, initial_nodes=48,
                           operations=300)
 
+#: The micro structures the pipeline benchmark builds, at default node
+#: counts: their generation is mostly the untraced fill.
+FILL_PARAMS = {bench: MicroParams(benchmark=bench, n_pools=128,
+                                  operations=100)
+               for bench in ("avl", "ss")}
+
 #: Accumulated machine-readable results, flushed by the module fixture.
 _RESULTS = {}
 
@@ -124,3 +130,14 @@ def test_trace_generation_throughput(benchmark):
         lambda: generate_micro_trace(PARAMS), rounds=5, iterations=1)
     assert len(trace) > 0
     _record("generate:micro-rbt", benchmark, len(trace))
+
+
+@pytest.mark.parametrize("bench", sorted(FILL_PARAMS))
+def test_fill_generation_throughput(benchmark, bench):
+    """Generation of an avl or ss trace, whose time is mostly the
+    untraced fill of 128 structures (96 nodes each)."""
+    trace, _ws = benchmark.pedantic(
+        lambda: generate_micro_trace(FILL_PARAMS[bench]), rounds=5,
+        iterations=1)
+    assert len(trace) > 0
+    _record(f"generate:micro-{bench}", benchmark, len(trace))

@@ -83,18 +83,15 @@ class ReplayContext:
 
         # Install the recorded page table verbatim: same frame numbers,
         # same insertion order, fresh PTE objects (schemes mutate them).
-        max_dram = -1
-        max_nvm = NVM_FRAME_BASE - 1
-        page_table = process.page_table
         perm_of = {p.value: p for p in Perm}
-        for vpn, pfn, perm, pkey, domain in layout.ptes:
-            page_table.map_page(vpn, PTE(pfn=pfn, perm=perm_of[perm],
-                                         pkey=pkey, domain=domain))
-            if pfn >= NVM_FRAME_BASE:
-                max_nvm = max(max_nvm, pfn)
-            else:
-                max_dram = max(max_dram, pfn)
-        kernel.physical_memory.advance_to(max_dram + 1, max_nvm + 1)
+        process.page_table.map_pages([
+            (vpn, PTE(pfn, perm_of[perm], pkey, domain))
+            for vpn, pfn, perm, pkey, domain in layout.ptes])
+        pfns = [row[1] for row in layout.ptes]
+        kernel.physical_memory.advance_to(
+            max((pfn for pfn in pfns if pfn < NVM_FRAME_BASE), default=-1) + 1,
+            max((pfn for pfn in pfns if pfn >= NVM_FRAME_BASE),
+                default=NVM_FRAME_BASE - 1) + 1)
         return cls(kernel, process, attach_info)
 
     def replay(self, trace: Trace, scheme: str,

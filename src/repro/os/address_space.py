@@ -154,18 +154,13 @@ class AddressSpace:
     # -- lookup ----------------------------------------------------------------------
 
     def find(self, vaddr: int) -> Optional[VMA]:
-        """Find the VMA containing ``vaddr`` (binary search)."""
-        vmas = self._vmas
-        lo, hi = 0, len(vmas)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            vma = vmas[mid]
-            if vaddr < vma.base:
-                hi = mid
-            elif vaddr >= vma.end:
-                lo = mid + 1
-            else:
-                return vma if vma.contains(vaddr) else None
+        """Find the VMA containing ``vaddr``: the last VMA based at or
+        below it (VMAs do not overlap), if its usable size covers it."""
+        i = bisect.bisect_right(self._vmas, vaddr, key=_base)
+        if i:
+            vma = self._vmas[i - 1]
+            if vaddr < vma.base + vma.size:
+                return vma
         return None
 
     def vmas(self) -> List[VMA]:

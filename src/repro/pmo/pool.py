@@ -18,7 +18,7 @@ Persisted pool header layout (one page reserved at offset 0)::
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import (InvalidOIDError, PermissionDeniedError, PoolClosedError,
                       PoolNotFoundError)
@@ -96,11 +96,25 @@ class Pool:
 
     def pmalloc(self, size: int, *, align: int = 8) -> OID:
         """Allocate persistent data in this pool; return its ObjectID."""
+        return OID(self.pool_id, self.pmalloc_run(1, size, align=align)[0])
+
+    def pmalloc_run(self, count: int, size: int, *,
+                    align: int = 8) -> List[int]:
+        """``count`` calls of :meth:`pmalloc`; return the payload offsets.
+
+        One :meth:`PoolHeap.allocate_run`, then the header's heap top is
+        persisted once, also when the run raises after allocating: the
+        header then holds what the calls before the failing one left.
+        """
         self._require_open()
-        offset = self.heap.allocate(size, align=align)
-        self.memory.write_u64(_OFF_HEAP_TOP, self.heap.heap_top)
-        self.memory.persist(_OFF_HEAP_TOP, 8)
-        return OID(self.pool_id, offset)
+        heap = self.heap
+        live = heap.live_allocations
+        try:
+            return heap.allocate_run(count, size, align=align)
+        finally:
+            if heap.live_allocations != live:
+                self.memory.write_u64(_OFF_HEAP_TOP, heap.heap_top)
+                self.memory.persist(_OFF_HEAP_TOP, 8)
 
     def pfree(self, oid: OID) -> None:
         """Free persistent data pointed to by the ObjectID."""

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import replace as _vma_copy
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..permissions import Perm
 from ..cpu.trace import Trace, TraceLayout, TraceRecorder
@@ -352,17 +352,27 @@ class PMem:
         of the per-word walk.
         """
         if not self.recording:
-            if length > 0:
-                last = va + (length - 1) // 8 * 8
-                for vpn in range(va >> 12, (last >> 12) + 1):
-                    self.kernel.ensure_mapped(self.process,
-                                              max(va, vpn << 12))
+            self._fault_words(va, length)
             return
         if tid is None:
             tid = self.current_tid
         for word in range(0, length, 8):
             self._trace(tid, handle, va + word, min(8, length - word),
                         is_write)
+
+    def _fault_words(self, va: int, length: int) -> None:
+        """Fault in each page that a word of ``length`` bytes at ``va``
+        starts on, once, in address order."""
+        if length <= 0:
+            return
+        vpn = va >> 12
+        if self._pte_get(vpn) is None:
+            self.kernel.handle_page_fault(self.process, va)
+        last = (va + (length - 1) // 8 * 8) >> 12
+        while vpn < last:
+            vpn += 1
+            if self._pte_get(vpn) is None:
+                self.kernel.handle_page_fault(self.process, vpn << 12)
 
     # -- allocation -------------------------------------------------------------------
 
@@ -442,6 +452,33 @@ class PMem:
         handle, addr, va = self._resolve(oid, offset)
         self._trace_words(tid, handle, va, len(data), True)
         handle.pool.memory.write(addr, data)
+
+    def fill(self, stores: Iterable[Tuple[int, bytes]]) -> None:
+        """Store each ``(packed pointer, data)`` of an untraced fill.
+
+        Equals ``write_bytes(OID.unpack(pointer), 0, data)`` per store
+        under ``untraced()``: each store faults the pages its 8-byte
+        words start on, in address order (:meth:`_fault_words`), before
+        its bytes are written.  The bytes reach each pool's storage in
+        one ``write_many``, in store order; storage and the page table
+        are independent, so the faults keep their order.
+        """
+        if self.recording:
+            raise RuntimeError("fill records no accesses; "
+                               "call it inside untraced()")
+        pools = self.pools
+        fault_words = self._fault_words
+        batches: Dict[int, List[Tuple[int, bytes]]] = {}
+        for pointer, data in stores:
+            domain = pointer >> 32
+            addr = pointer & 0xFFFF_FFFF
+            fault_words(pools[domain]._vbase + addr, len(data))
+            batch = batches.get(domain)
+            if batch is None:
+                batch = batches[domain] = []
+            batch.append((addr, data))
+        for domain, batch in batches.items():
+            pools[domain]._mem.write_many(batch)
 
     # -- bulk moves (traced at cache-line granularity) -----------------------------------
     #

@@ -11,7 +11,7 @@ from __future__ import annotations
 import struct
 from typing import Iterable, List, Optional, Tuple
 
-from ...pmo.oid import NULL_OID, OID
+from ...pmo.oid import NULL_OID, NULL_OID_VALUE, OID
 from ..base import PoolHandle, Workspace
 from .common import PoolSet, is_null
 
@@ -153,12 +153,14 @@ class PersistentAVL:
         ``untraced()``: the same pool bytes, heap state, RNG draws and
         page faults in the same order.  Each step runs ``insert``'s
         search, rotations and early-exit rebalance on list nodes and
-        allocates through :meth:`PoolSet.alloc_node` where ``insert``
-        would, consuming ``keys`` one at a time, so key draws and
-        pool-picking draws interleave as they do under ``insert``.
-        Then each node's fields are written once, in allocation order:
-        during population only a new node's first write can fault a
-        page, so this faults the same pages in the same order.
+        picks a new node's pool (:meth:`PoolSet.pick_pool`) where
+        ``insert`` would allocate it, consuming ``keys`` one at a time,
+        so key draws and pool-picking draws interleave as they do under
+        ``insert``.  Then the nodes are allocated in one run per pool
+        (:meth:`PoolSet.alloc_nodes`) and each node's fields are
+        written once, in allocation order (:meth:`PMem.fill`): during
+        population only a new node's first write can fault a page, so
+        this faults the same pages in the same order.
         """
         if self.mem.recording:
             raise RuntimeError("populate records no accesses; "
@@ -170,7 +172,8 @@ class PersistentAVL:
         node_keys = [0]
         kids = [[0, 0]]
         heights = [0]
-        oids = [NULL_OID]
+        picks: List[PoolHandle] = []
+        pick = self.ps.pick_pool
         root = 0
 
         def relink(path: List[Tuple[int, int]], index: int,
@@ -227,11 +230,11 @@ class PersistentAVL:
                 cur = kids[cur][direction]
             if cur:
                 continue
-            oids.append(self.ps.alloc_node(NODE_SIZE))
+            picks.append(pick())
             node_keys.append(key)
             kids.append([0, 0])
             heights.append(1)
-            relink(path, len(path), len(oids) - 1)
+            relink(path, len(path), len(picks))
             for i in range(len(path) - 1, -1, -1):
                 node = path[i][0]
                 old_height = heights[node]
@@ -241,14 +244,17 @@ class PersistentAVL:
                 if heights[subtree] == old_height:
                     break  # subtree height unchanged: the early exit
 
-        for node in range(1, len(oids)):
-            left, right = kids[node]
-            self.mem.write_bytes(oids[node], OFF_KEY, _FIELDS.pack(
-                node_keys[node], node_keys[node], oids[left].pack(),
-                oids[right].pack(), heights[node]))
+        # Packed pointers, list node 0 (the null child) first.
+        pointers = [NULL_OID_VALUE] + self.ps.alloc_nodes(picks, NODE_SIZE)
+        pack = _FIELDS.pack
+        self.mem.fill([
+            (pointers[node], pack(node_keys[node], node_keys[node],
+                                  pointers[left], pointers[right],
+                                  heights[node]))
+            for node, (left, right) in enumerate(kids) if node])
         if root:
-            self.ps.write_entry(oids[root])
-            self.ps.write_count(len(oids) - 1)
+            self.ps.write_entry(OID.unpack(pointers[root]))
+            self.ps.write_count(len(picks))
 
     def lookup(self, key: int) -> Optional[int]:
         cur = self.ps.read_entry()

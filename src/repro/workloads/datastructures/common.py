@@ -10,7 +10,7 @@ protection domains.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Dict, List, Optional, Sequence
 
 from ...pmo.oid import NULL_OID, OID
 from ..base import PMem, PoolHandle, Workspace
@@ -59,6 +59,32 @@ class PoolSet:
     def alloc_node(self, size: int, *, align: int = 8) -> OID:
         return self.pick_pool().pool.pmalloc(
             size, align=max(align, self.node_align))
+
+    def alloc_nodes(self, picks: Sequence[PoolHandle], size: int, *,
+                    align: int = 8) -> List[int]:
+        """One node per pick (handles from :meth:`pick_pool`); return
+        the nodes' packed pointers, in pick order.
+
+        Equals :meth:`alloc_node` per pick.  The pools' heaps are
+        independent, so one :meth:`Pool.pmalloc_run` per pool over its
+        picks, in pick order, leaves every heap as the calls would.
+        """
+        align = max(align, self.node_align)
+        slots: Dict[PoolHandle, List[int]] = {}
+        for i, handle in enumerate(picks):
+            where = slots.get(handle)
+            if where is None:
+                slots[handle] = [i]
+            else:
+                where.append(i)
+        packed = [0] * len(picks)
+        for handle, where in slots.items():
+            pool = handle.pool
+            high = pool.pool_id << 32
+            for i, offset in zip(where, pool.pmalloc_run(len(where), size,
+                                                         align=align)):
+                packed[i] = high | offset
+        return packed
 
     def free_node(self, oid: OID) -> None:
         self.ws.pools[oid.pool_id].pool.pfree(oid)

@@ -249,8 +249,8 @@ class _StringSwapSuite:
                                           spill=params.spill,
                                           node_align=params.node_align)
             with ws.untraced():
-                for _ in range(params.ss_strings):
-                    array.append(rng.getrandbits(256).to_bytes(32, "little"))
+                array.populate(rng.getrandbits(256).to_bytes(32, "little")
+                               for _ in range(params.ss_strings))
             self.arrays.append(array)
 
     def operate(self, tid=None) -> None:

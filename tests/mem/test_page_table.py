@@ -58,6 +58,28 @@ class TestMapping:
         assert dict(pt.entries()) == installed
 
 
+class TestMapPages:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 4),
+                              st.integers(0, 1 << 20)), max_size=80))
+    def test_equals_a_map_page_loop(self, rows):
+        """Same entries in the same order (a remapped vpn keeps its
+        first slot) and the same per-domain index as one ``map_page``
+        per entry."""
+        bulk, loop = PageTable(), PageTable()
+        entries = [(vpn, pte(pfn=pfn, domain=domain))
+                   for vpn, domain, pfn in rows]
+        bulk.map_pages(entries)
+        for vpn, entry in entries:
+            loop.map_page(vpn, entry)
+        assert list(bulk.entries()) == list(loop.entries())
+        for domain in range(5):
+            assert bulk.mapped_pages_of_domain(domain) == \
+                loop.mapped_pages_of_domain(domain)
+            assert bulk.set_pkey_for_domain(domain, 3) == \
+                loop.set_pkey_for_domain(domain, 3)
+
+
 class TestPkeyRewrites:
     def test_set_pkey_range_counts_mapped_only(self):
         pt = PageTable()

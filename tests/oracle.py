@@ -410,12 +410,15 @@ class ScanningPoolHeap(PoolHeap):
                 self.heap_top = offset + chunk_size
                 self.live_allocations += 1
                 return payload
-            self._insert_free(offset, pad)
             offset = payload - HEADER_SIZE
         chunk_size = HEADER_SIZE + _align_up(size, 8)
+        # The limit is checked before the pad is filed, so a failed
+        # allocation changes nothing.
         if offset + chunk_size > self.limit:
             raise OutOfPoolMemoryError(
                 f"pool heap exhausted ({size} bytes requested)")
+        if pad:
+            self._insert_free(self.heap_top, pad)
         self._write_header(offset, chunk_size, in_use=True)
         self.heap_top = offset + chunk_size
         self.live_allocations += 1

@@ -106,6 +106,38 @@ class TestFind:
             assert space.find(vma.base + vma.size - 1) is vma
 
 
+class TestFindAgainstAScan:
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 3), st.integers(1, 4),
+                              st.integers(1, 4 * KB4)),
+                    min_size=1, max_size=12), st.data())
+    def test_equals_a_linear_scan(self, spans, data):
+        """Adopted VMAs with gaps between them and reserved tails past
+        their usable size: ``find`` answers as a scan of every VMA does,
+        below the first VMA and past the last one too."""
+        space = AddressSpace()
+        vmas = []
+        base = PMO_AREA_BASE + KB4
+        for i, (gap, pages, size) in enumerate(spans):
+            base += gap * KB4
+            reserved = pages * KB4
+            vma = VMA(base=base, reserved=reserved,
+                      size=min(size, reserved), pmo_id=i + 1, is_nvm=True)
+            vmas.append(space.adopt(vma))
+            base += reserved
+        probes = [PMO_AREA_BASE, vmas[0].base - 1, vmas[-1].end,
+                  vmas[-1].end + GB1]
+        for vma in vmas:
+            probes += [vma.base, vma.base + vma.size - 1,
+                       vma.base + vma.size, vma.end - 1]
+        probes += data.draw(st.lists(
+            st.integers(PMO_AREA_BASE, vmas[-1].end + KB4), max_size=20))
+        for vaddr in probes:
+            want = next((vma for vma in vmas
+                         if vma.base <= vaddr < vma.base + vma.size), None)
+            assert space.find(vaddr) is want
+
+
 def pmo_vma(base, pages, pmo_id=1):
     return VMA(base=base, reserved=pages * KB4, size=pages * KB4,
                pmo_id=pmo_id, is_nvm=True)

@@ -249,3 +249,126 @@ class TestCountedFirstFit:
             assert heap.free_chunks() == oracle.free_chunks()
             assert heap.heap_top == oracle.heap_top
             assert heap.live_allocations == oracle.live_allocations
+
+
+class TestFailedAllocation:
+    def test_failed_padded_bump_files_no_pad(self):
+        # The bump at align 512 needs a 440-byte pad at heap_top, then
+        # overruns the limit.  Filing that pad before the limit check
+        # left a free chunk at heap_top: the next first fit and the next
+        # bump both handed out 4680.
+        heap = PoolHeap(SparseMemory(1 << 16), 4096, 6144)
+        heap.allocate(496)
+        heap.allocate(64)
+        before = (heap.free_chunks(), heap.heap_top,
+                  list(heap._class_counts), heap.free_bytes)
+        assert before[3] == 1472
+        with pytest.raises(OutOfPoolMemoryError):
+            heap.allocate(1200, align=512)
+        assert (heap.free_chunks(), heap.heap_top,
+                list(heap._class_counts), heap.free_bytes) == before
+        assert heap.allocate(432) == 4680
+        assert heap.allocate(64) == 5120
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 600), st.sampled_from([8 << k for k in range(11)]),
+           st.integers(0, 12))
+    def test_a_failed_allocation_changes_nothing(self, size, align, fill):
+        limit = BASE + 4096
+        heap = PoolHeap(SparseMemory(limit), BASE, limit)
+        for _ in range(fill):
+            try:
+                heap.allocate(200)
+            except OutOfPoolMemoryError:
+                break
+        before = (heap.free_chunks(), heap.heap_top,
+                  list(heap._class_counts), heap.free_bytes,
+                  heap.live_allocations)
+        try:
+            heap.allocate(size, align=align)
+        except OutOfPoolMemoryError:
+            assert (heap.free_chunks(), heap.heap_top,
+                    list(heap._class_counts), heap.free_bytes,
+                    heap.live_allocations) == before
+
+
+def heap_state(heap):
+    """Everything an allocation can change, storage bytes included."""
+    memory = heap._mem
+    return (heap.free_chunks(), sorted(heap._free_by_end.items()),
+            list(heap._class_counts), heap.heap_top, heap.live_allocations,
+            list(memory.touched_page_indexes()),
+            memory.read(0, memory.size), memory.read_durable(0, memory.size),
+            sorted(memory._pending.items()))
+
+
+@st.composite
+def runs(draw):
+    """A small heap's history (allocations and frees, so first-fit
+    chunks exist) and one run that may exhaust it midway."""
+    history = draw(st.lists(st.one_of(
+        st.tuples(st.just("alloc"), st.integers(1, 700),
+                  st.sampled_from([8 << k for k in range(11)])),
+        st.tuples(st.just("free"), st.integers(0, 40), st.just(0)),
+    ), max_size=30))
+    return {"history": history,
+            "count": draw(st.integers(0, 40)),
+            "size": draw(st.integers(1, 600)),
+            "align": draw(st.sampled_from([8 << k for k in range(11)])),
+            "limit": BASE + draw(st.integers(1, 24)) * 1024,
+            "track": draw(st.booleans())}
+
+
+def _replay_history(heap, history):
+    live = []
+    for kind, arg, align in history:
+        if kind == "alloc":
+            try:
+                live.append(heap.allocate(arg, align=align))
+            except OutOfPoolMemoryError:
+                pass
+        elif live:
+            # A chunk whose short pad was burnt keeps its header at the
+            # pad's start, so freeing its payload raises (both twins).
+            _outcome(lambda: heap.free(live.pop(arg % len(live))))
+
+
+class TestAllocateRun:
+    @settings(max_examples=150, deadline=None)
+    @given(runs())
+    def test_equals_an_allocate_loop(self, case):
+        """Same payloads, free list, class counts, heap top, live count,
+        storage pages and pending bytes, and the same error, as
+        ``count`` calls of ``allocate``."""
+        twins = [PoolHeap(SparseMemory(case["limit"],
+                                       track_persistence=case["track"]),
+                          BASE, case["limit"]) for _ in range(2)]
+        for heap in twins:
+            _replay_history(heap, case["history"])
+        run, loop = twins
+        args = (case["size"],)
+        kwargs = {"align": case["align"]}
+        got = _outcome(lambda: run.allocate_run(case["count"], *args,
+                                                **kwargs))
+        payloads = []
+
+        def calls():
+            for _ in range(case["count"]):
+                payloads.append(loop.allocate(*args, **kwargs))
+            return payloads
+
+        want = _outcome(calls)
+        assert got == want
+        assert heap_state(run) == heap_state(loop)
+
+    def test_pads_of_a_run_are_filed_like_single_bumps(self):
+        heap = make_heap()
+        payloads = heap.allocate_run(64, 64, align=512)
+        assert payloads == [BASE + 512 * (k + 1) for k in range(64)]
+        assert len(heap.free_chunks()) == 64
+        assert heap.live_allocations == 64
+
+    def test_empty_run_allocates_nothing(self):
+        heap = make_heap()
+        assert heap.allocate_run(0, 64) == []
+        assert heap.heap_top == BASE

@@ -1,11 +1,16 @@
 """Tests for the Table I pool API."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.permissions import Perm
 from repro.errors import (InvalidOIDError, PermissionDeniedError,
                           PoolClosedError, PoolExistsError, PoolNotFoundError)
 from repro.pmo import OID, POOL_HEADER_SIZE, PoolManager
+from repro.pmo.pool import Pool
+
+from .test_heap import _outcome
 
 MODE_PRIVATE = (Perm.RW, Perm.NONE)
 MODE_SHARED_READ = (Perm.RW, Perm.R)
@@ -159,3 +164,54 @@ class TestOidDirect:
         with pytest.raises(InvalidOIDError):
             b.pfree(oid)
         a.pfree(oid)
+
+
+def pool_state(pool):
+    """Every byte of the pool (the header's heap top included), durable
+    and pending, plus the heap's bookkeeping."""
+    memory, heap = pool.memory, pool.heap
+    return (memory.read(0, pool.size), memory.read_durable(0, pool.size),
+            sorted(memory._pending.items()),
+            list(memory.touched_page_indexes()), heap.free_chunks(),
+            list(heap._class_counts), heap.heap_top, heap.live_allocations)
+
+
+class TestPmallocRun:
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 500),
+                              st.sampled_from([8, 64, 512, 4096]),
+                              st.booleans()), max_size=12),
+           st.integers(0, 30), st.integers(1, 300),
+           st.sampled_from([8, 64, 512, 4096]), st.integers(1, 12),
+           st.booleans())
+    def test_equals_a_pmalloc_loop(self, history, count, size, align,
+                                   pages, track):
+        """Same offsets, error, heap and pool bytes (the header's heap
+        top too) as ``count`` calls of ``pmalloc``, also when the pool
+        runs out midway."""
+        twins = [Pool(1, "p", POOL_HEADER_SIZE + pages * 1024,
+                      track_persistence=track) for _ in range(2)]
+        for pool in twins:
+            # Earlier allocations, some freed: first-fit chunks, and a
+            # header whose heap top went stale when a free shrank it.
+            for n, a, keep in history:
+                oid = _outcome(lambda: pool.pmalloc(n, align=a))
+                if isinstance(oid, OID) and not keep:
+                    _outcome(lambda: pool.pfree(oid))
+        run, loop = twins
+        got = _outcome(lambda: run.pmalloc_run(count, size, align=align))
+        offsets = []
+
+        def calls():
+            for _ in range(count):
+                offsets.append(loop.pmalloc(size, align=align).offset)
+            return offsets
+
+        assert got == _outcome(calls)
+        assert pool_state(run) == pool_state(loop)
+
+    def test_closed_pool_refuses_a_run(self, manager):
+        pool = manager.pool_create("a", 1 << 16, MODE_PRIVATE)
+        pool.close()
+        with pytest.raises(PoolClosedError):
+            pool.pmalloc_run(2, 64)

@@ -3,12 +3,17 @@
 import contextlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.permissions import Perm
 from repro.cpu import trace as tr
 from repro.errors import SimulationError
+from repro.pmo.oid import OID
 from repro.workloads.base import (PerAccessPolicy, PerOpPolicy,
                                   UnprotectedPolicy, Workspace)
+
+from .test_datastructures import workspace_state
 
 
 def perm_events(trace):
@@ -223,3 +228,37 @@ class TestByteRanges:
             ws.mem.write_bytes(oid, 4000, bytes(range(200)))
             assert ws.mem.read_bytes(oid, 4000, 200) == bytes(range(200))
         assert ws.finish().counts().get("store", 0) == 0
+
+
+class TestFill:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5 * 4096),
+                              st.integers(0, 9000)), max_size=12))
+    def test_equals_untraced_write_bytes(self, stores):
+        """Same page faults, in order (stores may span pages and start
+        anywhere), and the same bytes as one untraced ``write_bytes``
+        per store."""
+        twins = []
+        for _ in range(2):
+            ws = Workspace(UnprotectedPolicy())
+            handles = [ws.create_and_attach(f"p{i}", 8 << 20)
+                       for i in range(3)]
+            twins.append((ws, handles))
+        stores = [(twins[0][1][pool].pool.pool_id, offset,
+                   bytes([length % 251]) * length)
+                  for pool, offset, length in stores]
+        (ws, _), (ref_ws, _) = twins
+        with ws.untraced():
+            ws.mem.fill([(pool_id << 32 | offset, data)
+                         for pool_id, offset, data in stores])
+        with ref_ws.untraced():
+            for pool_id, offset, data in stores:
+                ref_ws.mem.write_bytes(OID(pool_id, offset), 0, data)
+        assert workspace_state(ws) == workspace_state(ref_ws)
+
+    def test_refuses_while_recording(self):
+        ws = Workspace(UnprotectedPolicy())
+        handle = ws.create_and_attach("p", 8 << 20)
+        with pytest.raises(RuntimeError):
+            ws.mem.fill([(handle.pool.pool_id << 32 | 4096, b"x")])
+        assert ws.process.page_table.mapped_pages == 0

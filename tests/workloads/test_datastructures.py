@@ -5,12 +5,14 @@ insert/delete/lookup mixes; tree invariants are checked at the end of
 every run.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pmo.storage import PAGE_SIZE
-from repro.workloads.base import UnprotectedPolicy, Workspace
+from repro.workloads.base import PerOpPolicy, UnprotectedPolicy, Workspace
 from repro.workloads.datastructures import (PersistentAVL,
                                             PersistentBPlusTree,
                                             PersistentCritbitTree,
@@ -18,6 +20,9 @@ from repro.workloads.datastructures import (PersistentAVL,
                                             PersistentLinkedList,
                                             PersistentRBTree,
                                             PersistentStringArray)
+from repro.workloads.datastructures.stringswap import STRING_SIZE
+from repro.workloads.micro import (MicroParams, ZipfSampler,
+                                   _StringSwapSuite, _StructuredSuite)
 
 KEYED_STRUCTS = [PersistentAVL, PersistentRBTree, PersistentBPlusTree,
                  PersistentCritbitTree]
@@ -125,8 +130,11 @@ def drawn(ws, keys):
         yield key
 
 
-def avl_state(ws, avl):
-    """Everything an untraced population can change."""
+def workspace_state(ws):
+    """Everything an untraced fill can change outside the structure:
+    every pool page, each heap's top, live count, free list and class
+    counts, the page table in fault order, the fault count, the frame
+    cursors and the RNG state."""
     heaps = []
     for _, handle in sorted(ws.pools.items()):
         memory, heap = handle.pool.memory, handle.pool.heap
@@ -135,11 +143,16 @@ def avl_state(ws, avl):
         heaps.append((pages, heap.heap_top, heap.live_allocations,
                       heap.free_chunks(), list(heap._class_counts)))
     frames = ws.kernel.physical_memory
+    return (heaps, list(ws.process.page_table.entries()),
+            ws.kernel.page_faults, frames._next_dram, frames._next_nvm,
+            ws.rng.getstate())
+
+
+def avl_state(ws, avl):
+    """Everything an untraced population can change."""
+    state = workspace_state(ws)
     with ws.untraced():
-        return (heaps, list(ws.process.page_table.entries()),
-                ws.kernel.page_faults, frames._next_dram, frames._next_nvm,
-                ws.rng.getstate(), avl.keys(), avl.check_invariants(),
-                len(avl))
+        return state + (avl.keys(), avl.check_invariants(), len(avl))
 
 
 class TestAVLPopulate:
@@ -178,6 +191,131 @@ class TestAVLPopulate:
         avl.insert(5, 5)
         with ws.untraced(), pytest.raises(ValueError):
             avl.populate([1, 2, 3])
+
+
+@st.composite
+def string_populations(draw):
+    """Pools, capacity (up to past two directory pages), the strings and
+    the node placement of one string-array population."""
+    capacity = draw(st.one_of(st.integers(1, 100), st.integers(480, 1100)))
+    count = draw(st.one_of(st.just(capacity), st.integers(0, capacity)))
+    rand = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return {"pools": draw(st.integers(1, 6)),
+            "capacity": capacity,
+            "strings": [rand.randbytes(rand.randrange(STRING_SIZE + 1))
+                        for _ in range(count)],
+            "spill": draw(st.floats(0.0, 1.0)),
+            "node_align": draw(st.sampled_from([8, 64, 512, 4096])),
+            "seed": draw(st.integers(0, 2**32 - 1))}
+
+
+def array_state(ws, array):
+    """Everything an untraced string-array population can change."""
+    state = workspace_state(ws)
+    with ws.untraced():
+        return state + (array.size, array.ps.read_count(),
+                        [array.get(i) for i in range(array.size)])
+
+
+class TestStringArrayPopulate:
+    """``populate`` equals ``append`` per string under ``untraced()``:
+    pool bytes, heaps, page faults in order (a directory past the
+    anchor's page faults between strings), frame cursors and RNG
+    draws."""
+
+    @staticmethod
+    def array(case):
+        ws, handles = make_workspace(pools=case["pools"], seed=case["seed"])
+        return ws, PersistentStringArray(ws, handles, case["capacity"],
+                                         spill=case["spill"],
+                                         node_align=case["node_align"])
+
+    @settings(max_examples=40, deadline=None)
+    @given(string_populations())
+    def test_equals_untraced_appends(self, case):
+        ws, array = self.array(case)
+        with ws.untraced():
+            array.populate(drawn(ws, case["strings"]))
+        ref_ws, ref = self.array(case)
+        with ref_ws.untraced():
+            for data in drawn(ref_ws, case["strings"]):
+                ref.append(data)
+        assert array_state(ws, array) == array_state(ref_ws, ref)
+
+    def test_refuses_while_recording(self):
+        ws, handles = make_workspace()
+        array = PersistentStringArray(ws, handles, capacity=4)
+        with pytest.raises(RuntimeError):
+            array.populate([b"a"])
+        assert array.size == 0
+
+    def test_refuses_a_non_empty_array(self):
+        ws, handles = make_workspace()
+        array = PersistentStringArray(ws, handles, capacity=4)
+        array.append(b"a")
+        with ws.untraced(), pytest.raises(ValueError):
+            array.populate([b"b"])
+
+    def test_refuses_more_strings_than_capacity(self):
+        # append checks for a full array before it checks the length.
+        ws, handles = make_workspace()
+        array = PersistentStringArray(ws, handles, capacity=2)
+        with ws.untraced(), pytest.raises(IndexError):
+            array.populate([b"a", b"b", b"z" * (STRING_SIZE + 1)])
+
+    def test_refuses_an_oversized_string(self):
+        ws, handles = make_workspace()
+        array = PersistentStringArray(ws, handles, capacity=2)
+        with ws.untraced(), pytest.raises(ValueError):
+            array.populate([b"a", b"z" * (STRING_SIZE + 1)])
+
+
+def suite_workspace(params):
+    """The workspace and pools ``generate_micro_trace`` builds."""
+    ws = Workspace(PerOpPolicy(), seed=params.seed)
+    pools = [ws.create_and_attach(f"{params.benchmark}-pmo-{i:04d}",
+                                  params.pool_size)
+             for i in range(params.n_pools)]
+    return ws, pools
+
+
+def per_call_suite(ws, pools, params):
+    """A micro suite's construction with one ``insert`` per key (avl)
+    or one ``append`` per string (ss), as the suites filled before
+    their fills ran in runs."""
+    rng = ws.rng
+    ZipfSampler(len(pools), params.zipf, rng)
+    for i, home in enumerate(pools):
+        ordered = [home] + pools[:i] + pools[i + 1:]
+        if params.benchmark == "ss":
+            array = PersistentStringArray(ws, ordered,
+                                          capacity=params.ss_strings,
+                                          spill=params.spill,
+                                          node_align=params.node_align)
+            with ws.untraced():
+                for _ in range(params.ss_strings):
+                    array.append(rng.getrandbits(256).to_bytes(32, "little"))
+        else:
+            tree = PersistentAVL(ws, ordered, spill=params.spill,
+                                 node_align=params.node_align)
+            with ws.untraced():
+                for _ in range(params.initial_nodes):
+                    key = rng.getrandbits(48) + 1
+                    tree.insert(key, key)
+
+
+class TestSuiteFill:
+    @pytest.mark.parametrize("bench", ["avl", "ss"])
+    def test_equals_the_per_call_fill_at_256_pools(self, bench):
+        """A suite built at 256 pools (otherwise default parameters)
+        leaves its workspace as the per-call fill leaves a twin."""
+        params = MicroParams(benchmark=bench, n_pools=256)
+        ws, pools = suite_workspace(params)
+        suite = _StringSwapSuite if bench == "ss" else _StructuredSuite
+        suite(ws, pools, params)
+        ref_ws, ref_pools = suite_workspace(params)
+        per_call_suite(ref_ws, ref_pools, params)
+        assert workspace_state(ws) == workspace_state(ref_ws)
 
 
 class TestRBTreeProperties:

@@ -36,8 +36,7 @@ class DomainVirtScheme(ProtectionScheme):
 
     name = "domain_virt"
     registry_tags = {"multi_pmo": 3, "single_pmo": 2}
-    cost = CostDescriptor(switch="wrpkru", check="ptlb",
-                          consults_ptlb=True)
+    cost = CostDescriptor(switch="wrpkru", check="ptlb")
     config_section = "domain_virt"
 
     def __init__(self, *args, **kwargs):

@@ -46,7 +46,7 @@ class MPKVirtScheme(ProtectionScheme):
     registry_tags = {"multi_pmo": 2, "single_pmo": 1}
     cost = CostDescriptor(switch="wrpkru_virt", check="pkru", key_space=16,
                           collapse="evict", broadcast_shootdown=True,
-                          consults_dttlb=True, invalidates_tlb=True)
+                          invalidates_tlb=True)
     config_section = "mpk_virt"
 
     def __init__(self, *args, **kwargs):

@@ -30,7 +30,7 @@ class PksSealScheme(MPKVirtScheme):
     registry_tags = {"multi_pmo": 5}
     cost = CostDescriptor(switch="wrpkru_virt", check="pkru", key_space=16,
                           collapse="evict", broadcast_shootdown=True,
-                          consults_dttlb=True, invalidates_tlb=True)
+                          invalidates_tlb=True)
     config_section = "pks_seal"
 
     def __init__(self, *args, **kwargs):

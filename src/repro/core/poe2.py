@@ -32,7 +32,7 @@ class Poe2Scheme(MPKVirtScheme):
     registry_tags = {"multi_pmo": 7}
     cost = CostDescriptor(switch="overlay", check="pkru", key_space=64,
                           collapse="evict", broadcast_shootdown=True,
-                          consults_dttlb=True, invalidates_tlb=True)
+                          invalidates_tlb=True)
     config_section = "poe2"
 
     def __init__(self, *args, **kwargs):

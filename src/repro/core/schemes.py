@@ -90,8 +90,6 @@ class CostDescriptor:
     #: ``286cy x cores`` bill); multicore replay attributes the remote
     #: slice per this flag.
     broadcast_shootdown: bool = False
-    consults_ptlb: bool = False
-    consults_dttlb: bool = False
     #: Whether any hook ever invalidates TLB entries.  A ``page`` or
     #: ``ptlb`` check must leave it False: their kernels replay the
     #: baseline-pure TLB radiograph.

@@ -8,7 +8,7 @@ lines that miss all levels pay the NVM latency, others the DRAM latency.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 LINE_SHIFT = 6  # 64-byte lines
 LINE_SIZE = 1 << LINE_SHIFT
@@ -21,7 +21,10 @@ class CacheLevel:
     dict plus per-slot line/age lists mutated in place, so the replay
     engine (:mod:`repro.cpu.fast_timing`) can hoist the containers into
     locals.  Age stamps are strictly increasing; the minimum age in a
-    set is the least recently touched line.
+    set is the least recently touched line.  The engine inlines both
+    rules: a hit restamps its slot with ``_age`` and bumps ``_age``; a
+    miss installs into the set's first empty slot, else over its
+    minimum-age victim.
     """
 
     __slots__ = ("ways", "n_sets", "latency", "slot_of", "lines", "ages",
@@ -40,51 +43,6 @@ class CacheLevel:
         self._age = 1
         self.hits = 0
         self.misses = 0
-
-    def lookup(self, line: int) -> bool:
-        slot = self.slot_of.get(line)
-        if slot is None:
-            self.misses += 1
-            return False
-        self.hits += 1
-        self.ages[slot] = self._age
-        self._age += 1
-        return True
-
-    def fill(self, line: int) -> Optional[int]:
-        """Insert a line; returns the evicted victim line, if any."""
-        slot_of = self.slot_of
-        slot = slot_of.get(line)
-        victim = None
-        if slot is None:
-            base = (line % self.n_sets) * self.ways
-            lines = self.lines
-            ages = self.ages
-            free = -1
-            victim_slot = base
-            victim_age = 1 << 62
-            for s in range(base, base + self.ways):
-                if lines[s] < 0:
-                    free = s
-                    break
-                age = ages[s]
-                if age < victim_age:
-                    victim_age = age
-                    victim_slot = s
-            if free < 0:
-                free = victim_slot
-                victim = lines[free]
-                del slot_of[victim]
-            lines[free] = line
-            slot_of[line] = free
-            slot = free
-        self.ages[slot] = self._age
-        self._age += 1
-        return victim
-
-    def invalidate_all(self) -> None:
-        self.slot_of.clear()
-        self.lines[:] = [-1] * len(self.lines)
 
     def __len__(self) -> int:
         return len(self.slot_of)

@@ -2,8 +2,9 @@
 
 Main memory consists of DRAM and NVM (Section V).  The physical address
 space is split into two fixed regions; PMO pages are backed by NVM frames
-(360-cycle latency) and everything else by DRAM frames (120 cycles), the
-3x ratio the paper takes from the Optane DC characterization [24].
+and everything else by DRAM frames.  A replay charges each region the
+latency of its ``config.memory`` (360 and 120 cycles by default, the 3x
+ratio the paper takes from the Optane DC characterization [24]).
 """
 
 from __future__ import annotations
@@ -18,13 +19,10 @@ NVM_FRAME_BASE = 1 << 28  # 1 TB boundary in frame numbers
 
 
 class PhysicalMemory:
-    """Frame allocator plus per-region access latency."""
+    """Frame allocator over the DRAM and NVM regions."""
 
-    def __init__(self, *, dram_latency: int = 120, nvm_latency: int = 360,
-                 dram_frames: int = NVM_FRAME_BASE,
+    def __init__(self, *, dram_frames: int = NVM_FRAME_BASE,
                  nvm_frames: int = 1 << 28):
-        self.dram_latency = dram_latency
-        self.nvm_latency = nvm_latency
         self._dram_limit = dram_frames
         self._nvm_limit = NVM_FRAME_BASE + nvm_frames
         self._next_dram = 0
@@ -62,14 +60,8 @@ class PhysicalMemory:
         self._next_dram = max(self._next_dram, next_dram)
         self._next_nvm = max(self._next_nvm, max(next_nvm, NVM_FRAME_BASE))
 
-    # -- classification / latency ----------------------------------------------
+    # -- classification ----------------------------------------------------------
 
     @staticmethod
     def is_nvm_frame(pfn: int) -> bool:
         return pfn >= NVM_FRAME_BASE
-
-    def latency_for_frame(self, pfn: int) -> int:
-        """Main-memory access latency for a physical frame."""
-        if self.is_nvm_frame(pfn):
-            return self.nvm_latency
-        return self.dram_latency

@@ -4,7 +4,8 @@ Each PTE carries, besides the frame number and page permission, the 4-bit
 MPK protection key (used by default MPK, libmpk and the hardware MPK
 virtualization design) and the domain ID (used by the domain
 virtualization design; a page fault copies it from the VMA's PMO ID).
-``pkey_mprotect`` rewrites the key field of every PTE in a range — the
+``pkey_mprotect`` over a PMO's region rewrites the key field of every
+mapped PTE of its domain (:meth:`PageTable.set_pkey_for_domain`) — the
 per-PTE cost of that rewrite is exactly what makes libmpk slow
 (Section IV-D).
 
@@ -86,20 +87,6 @@ class PageTable:
         return self._flat.get(vpn)
 
     # -- pkey_mprotect support ---------------------------------------------------------
-
-    def set_pkey_range(self, start_vpn: int, n_pages: int, pkey: int) -> int:
-        """Rewrite the key field of all *mapped* PTEs in a range.
-
-        Returns the number of PTEs actually rewritten — the quantity that
-        drives libmpk's per-eviction cost.
-        """
-        rewritten = 0
-        for vpn in range(start_vpn, start_vpn + n_pages):
-            pte = self._flat.get(vpn)
-            if pte is not None:
-                pte.pkey = pkey
-                rewritten += 1
-        return rewritten
 
     def set_pkey_for_domain(self, domain: int, pkey: int) -> int:
         """Rewrite the key field of every mapped PTE of one domain.

@@ -16,7 +16,7 @@ can attribute the re-miss cost to invalidations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from ..permissions import Perm
 
@@ -52,18 +52,19 @@ class TLBLevel:
     exactly this reason.  LRU order is kept as strictly increasing age
     stamps (the minimum age in a set is the least recently touched
     entry), and every container mutates in place so the engine can
-    hoist them into locals.  ``line_base``/``mem_penalty`` are
-    engine-precomputed replay accelerators; entries installed through
-    the public :meth:`fill` carry ``pfn << 6`` and ``None``.
+    hoist them into locals.  The engine inlines the hit rule (a hit
+    restamps its slot with ``_age`` and bumps ``_age``), installs
+    through :meth:`fill_rec`, and credits ``hits``/``misses`` once per
+    replay.  ``line_base``/``mem_penalty`` are engine-precomputed
+    replay accelerators.
     """
 
-    __slots__ = ("entries", "ways", "n_sets", "slot_of", "recs", "ages",
+    __slots__ = ("ways", "n_sets", "slot_of", "recs", "ages",
                  "_age", "_vpns_by_domain", "hits", "misses")
 
     def __init__(self, entries: int, ways: int):
         if entries % ways:
             raise ValueError("entries must be a multiple of ways")
-        self.entries = entries
         self.ways = ways
         self.n_sets = entries // ways
         self.slot_of: Dict[int, int] = {}
@@ -73,18 +74,6 @@ class TLBLevel:
         self._vpns_by_domain: Dict[int, set] = {}
         self.hits = 0
         self.misses = 0
-
-    # -- record plumbing ------------------------------------------------------
-
-    @staticmethod
-    def rec_for(entry: TLBEntry) -> tuple:
-        return (entry.vpn, entry.pfn, entry.perm, entry.pkey, entry.domain,
-                entry.pfn << 6, None)
-
-    @staticmethod
-    def entry_for(rec: tuple) -> TLBEntry:
-        return TLBEntry(vpn=rec[0], pfn=rec[1], perm=rec[2], pkey=rec[3],
-                        domain=rec[4])
 
     def fill_rec(self, rec: tuple) -> Optional[tuple]:
         """Install an internal record; returns the evicted victim rec."""
@@ -127,47 +116,7 @@ class TLBLevel:
             self._vpns_by_domain.setdefault(rec[4], set()).add(vpn)
         return victim
 
-    # -- entry interface --------------------------------------------------------
-
-    def lookup(self, vpn: int) -> Optional[TLBEntry]:
-        slot = self.slot_of.get(vpn)
-        if slot is None:
-            self.misses += 1
-            return None
-        self.hits += 1
-        self.ages[slot] = self._age
-        self._age += 1
-        return self.entry_for(self.recs[slot])
-
-    def fill(self, entry: TLBEntry) -> Optional[TLBEntry]:
-        """Insert an entry; returns the evicted victim, if any."""
-        victim = self.fill_rec(self.rec_for(entry))
-        return None if victim is None else self.entry_for(victim)
-
     # -- invalidation -----------------------------------------------------------
-
-    def _drop_slot(self, vpn: int, slot: int) -> tuple:
-        rec = self.recs[slot]
-        self.recs[slot] = None
-        if rec[4]:
-            vpns = self._vpns_by_domain.get(rec[4])
-            if vpns is not None:
-                vpns.discard(vpn)
-        return rec
-
-    def invalidate(self, vpn: int) -> bool:
-        slot = self.slot_of.pop(vpn, None)
-        if slot is None:
-            return False
-        self._drop_slot(vpn, slot)
-        return True
-
-    def invalidate_all(self) -> int:
-        count = len(self.slot_of)
-        self.slot_of.clear()
-        self.recs[:] = [None] * self.entries
-        self._vpns_by_domain.clear()
-        return count
 
     def invalidate_domain(self, domain: int) -> int:
         """Invalidate every entry belonging to one domain (O(killed))."""
@@ -189,42 +138,15 @@ class TLBLevel:
     def __len__(self) -> int:
         return len(self.slot_of)
 
-    def __iter__(self) -> Iterator[TLBEntry]:
-        for rec in self.recs:
-            if rec is not None:
-                yield self.entry_for(rec)
-
 
 class TwoLevelTLB:
-    """L1 + L2 data TLB (Table II: 64-entry/4-way and 1536-entry/6-way)."""
+    """L1 + L2 data TLB (Table II: 64-entry/4-way and 1536-entry/6-way):
+    the levels a replay walks and a scheme's shootdowns flush."""
 
     def __init__(self, *, l1_entries: int = 64, l1_ways: int = 4,
                  l2_entries: int = 1536, l2_ways: int = 6):
         self.l1 = TLBLevel(l1_entries, l1_ways)
         self.l2 = TLBLevel(l2_entries, l2_ways)
-
-    def lookup(self, vpn: int) -> Tuple[Optional[TLBEntry], str]:
-        """Look up a translation.
-
-        Returns ``(entry, level)`` where level is ``"l1"``, ``"l2"`` (the
-        entry is promoted to L1), or ``"miss"``.
-        """
-        entry = self.l1.lookup(vpn)
-        if entry is not None:
-            return entry, "l1"
-        entry = self.l2.lookup(vpn)
-        if entry is not None:
-            self.l1.fill(entry)
-            return entry, "l2"
-        return None, "miss"
-
-    def fill(self, entry: TLBEntry) -> None:
-        """Install a translation in both levels (walk completion)."""
-        self.l1.fill(entry)
-        self.l2.fill(entry)
-
-    def invalidate_all(self) -> int:
-        return self.l1.invalidate_all() + self.l2.invalidate_all()
 
     def domain_flush(self, domain: int) -> int:
         """Invalidate every entry of one domain — the fast path for the

@@ -68,7 +68,8 @@ class VMA:
     granule: int = KB4
     is_nvm: bool = False
     #: Current MPK protection key for pages of this area (0 = NULL key).
-    #: Set by pkey_mprotect; newly faulted-in pages inherit it.
+    #: Set by a scheme's key assignment (the modelled pkey_mprotect);
+    #: newly faulted-in pages inherit it.
     pkey: int = 0
 
     @property

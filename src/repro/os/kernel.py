@@ -1,4 +1,4 @@
-"""The simulated OS kernel: attach/detach, demand paging, pkey syscalls.
+"""The simulated OS kernel: attach/detach and demand paging.
 
 The kernel enforces the paper's second protection requirement — *"the
 process has attached the PMO"* — and the inter-process sharing policy:
@@ -27,7 +27,6 @@ class Kernel:
                  physical_memory: Optional[PhysicalMemory] = None):
         self.pools = pool_manager or PoolManager()
         self.physical_memory = physical_memory or PhysicalMemory()
-        self._processes: Dict[int, Process] = {}
         self._next_pid = 1
         # pool_id -> {pid: intent}; enforces exclusive-writer sharing.
         self._shares: Dict[int, Dict[int, Perm]] = {}
@@ -40,14 +39,7 @@ class Kernel:
     def create_process(self, *, uid: int = 0) -> Process:
         process = Process(pid=self._next_pid, uid=uid)
         self._next_pid += 1
-        self._processes[process.pid] = process
         return process
-
-    def process_exit(self, process: Process) -> None:
-        """Terminate a process, auto-detaching any PMOs it left attached."""
-        for pmo_id in list(process.attachments):
-            self.detach(process, pmo_id)
-        self._processes.pop(process.pid, None)
 
     # -- attach / detach system calls ----------------------------------------------------
 
@@ -139,20 +131,3 @@ class Kernel:
     def map_volatile(self, process: Process, size: int) -> VMA:
         """Reserve a DRAM-backed region (heap/stack stand-in)."""
         return process.address_space.reserve_volatile(size)
-
-    # -- pkey_mprotect ----------------------------------------------------------------------
-
-    def pkey_mprotect(self, process: Process, base: int, length: int,
-                      pkey: int) -> int:
-        """Associate a protection key with a VA range.
-
-        Rewrites the key field of every *mapped* PTE in the range and
-        records the key on the VMA so later faults inherit it.  Returns
-        the number of PTEs rewritten — the cost driver for libmpk.
-        """
-        vma = process.address_space.find(base)
-        if vma is None:
-            raise NotAttachedError(f"pkey_mprotect on unmapped base {base:#x}")
-        vma.pkey = pkey
-        n_pages = -(-length // 4096)
-        return process.page_table.set_pkey_range(vpn_of(base), n_pages, pkey)

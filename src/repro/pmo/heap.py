@@ -176,9 +176,9 @@ class PoolHeap:
         """Bump-allocate ``count`` chunks for ``size`` payload bytes at
         ``heap_top``, appending their payloads to ``payloads``.
 
-        Each payload is aligned by padding in front of its chunk: a pad
-        of at least ``MIN_CHUNK`` bytes becomes a free chunk, a smaller
-        one is burnt inside the chunk.  A pad's own payload is
+        Each payload is aligned by padding in front of its chunk, and
+        every non-empty pad becomes a free chunk, so a chunk's header
+        always sits right before its payload.  A pad's own payload is
         ``align``-aligned only when the pad is empty, so no pad can serve
         a later allocation of the run.  A pad starts at ``heap_top``,
         where no free chunk ends, and ends past it, where none starts,
@@ -203,14 +203,12 @@ class PoolHeap:
                     raise OutOfPoolMemoryError(
                         f"pool heap exhausted ({size} bytes requested)")
                 pad = start - top
-                if pad >= MIN_CHUNK:
+                if pad:
                     free[top] = pad
                     free_by_end[start] = top
                     counts[_align_class(top + HEADER_SIZE)] += 1
                     headers.append((top, _header_word(pad, False)))
-                else:
-                    start = top  # burn a short pad inside the chunk
-                headers.append((start, _header_word(end - start, True)))
+                headers.append((start, _header_word(needed, True)))
                 payloads.append(payload)
                 top = end
         finally:

@@ -22,9 +22,6 @@ from typing import Callable, Dict, Iterable, Iterator, Tuple
 PAGE_SIZE = 4096
 _PAGE_SHIFT = 12
 
-_U8 = struct.Struct("<B")
-_U16 = struct.Struct("<H")
-_U32 = struct.Struct("<I")
 #: A little-endian u64, the word every on-media pointer and header is.
 U64 = struct.Struct("<Q")
 #: ``pack_into`` of an ``n``-byte string, by ``n`` (at most a page): it
@@ -66,23 +63,14 @@ class SparseMemory:
 
     def read(self, addr: int, length: int) -> bytes:
         """Read ``length`` bytes at ``addr`` (pending writes are visible)."""
-        self._check_range(addr, length)
-        out = bytearray(length)
-        pos = 0
-        while pos < length:
-            cur = addr + pos
-            page_index = cur >> _PAGE_SHIFT
-            page_off = cur & (PAGE_SIZE - 1)
-            chunk = min(length - pos, PAGE_SIZE - page_off)
-            page = self._pages.get(page_index)
-            if page is not None:
-                out[pos:pos + chunk] = page[page_off:page_off + chunk]
-            pos += chunk
-        if self.track_persistence:
-            for i in range(length):
-                pending = self._pending.get(addr + i)
-                if pending is not None:
-                    out[i] = pending
+        durable = self.read_durable(addr, length)
+        if not self.track_persistence:
+            return durable
+        out = bytearray(durable)
+        for i in range(length):
+            pending = self._pending.get(addr + i)
+            if pending is not None:
+                out[i] = pending
         return bytes(out)
 
     def read_durable(self, addr: int, length: int) -> bytes:
@@ -195,15 +183,6 @@ class SparseMemory:
 
     # -- typed helpers ------------------------------------------------------------
 
-    def read_u8(self, addr: int) -> int:
-        return _U8.unpack(self.read(addr, 1))[0]
-
-    def read_u16(self, addr: int) -> int:
-        return _U16.unpack(self.read(addr, 2))[0]
-
-    def read_u32(self, addr: int) -> int:
-        return _U32.unpack(self.read(addr, 4))[0]
-
     def read_u64(self, addr: int) -> int:
         # Fast path: an in-page word with no persistence layer reads
         # straight out of the backing page (a missing page is zeros,
@@ -216,15 +195,6 @@ class SparseMemory:
                     return 0
                 return U64.unpack_from(page, off)[0]
         return U64.unpack(self.read(addr, 8))[0]
-
-    def write_u8(self, addr: int, value: int) -> None:
-        self.write(addr, _U8.pack(value & 0xFF))
-
-    def write_u16(self, addr: int, value: int) -> None:
-        self.write(addr, _U16.pack(value & 0xFFFF))
-
-    def write_u32(self, addr: int, value: int) -> None:
-        self.write(addr, _U32.pack(value & 0xFFFF_FFFF))
 
     def write_u64(self, addr: int, value: int) -> None:
         # Fast path mirroring read_u64: in-page word, no pending layer.

@@ -9,7 +9,7 @@ This package makes that server an executable, measurable workload:
   Zipfian client popularity and poisson/burst/diurnal rate patterns;
 * :mod:`~repro.service.batching` — admission control, domain-aware
   batching (same-client coalescing amortizes permission switches), and
-  the per-worker dispatch simulation on a pluggable clock;
+  the per-worker dispatch simulation on a dispatch clock;
 * :mod:`~repro.service.closed` — scheme-keyed schedules: a dispatch
   clock calibrated from a marked replay, so ``dispatch="replay"`` runs
   (and the true closed loop) get one deterministic plan per scheme;
@@ -30,8 +30,7 @@ This package makes that server an executable, measurable workload:
 See ``docs/SERVICE.md`` for the architecture and the metric contract.
 """
 
-from .batching import (CalibratedClock, DispatchClock, NominalClock,
-                       ServicePlan, build_plan)
+from .batching import DispatchClock, ServicePlan, build_plan
 from .closed import (build_plan_keyed, generate_service_trace_keyed,
                      scheme_clock)
 from .latency import ServiceSummary, account, account_sharded
@@ -50,10 +49,8 @@ __all__ = [
     "ARRIVALS",
     "BATCHINGS",
     "BatchMark",
-    "CalibratedClock",
     "DISPATCHES",
     "DispatchClock",
-    "NominalClock",
     "PATTERNS",
     "POLICIES",
     "RequestColumns",

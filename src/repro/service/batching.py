@@ -14,17 +14,17 @@ The dispatch simulation keeps one free-time clock **per worker slot**
 and assigns each batch to the earliest-free worker (ties to the lowest
 slot), so the planned schedule and the per-worker wall-clock accounting
 (:mod:`repro.service.latency`) speak the same model.  How long a batch
-occupies its worker comes from a pluggable :class:`DispatchClock`:
+occupies its worker comes from a :class:`DispatchClock`, a
+``window + n * per_request`` model:
 
-* :class:`NominalClock` — the fixed analytic estimate
-  (:func:`~repro.service.params.nominal_request_cycles`); every scheme
-  shares one schedule, which keeps a service run a single cacheable
-  trace (``dispatch="nominal"``, the default);
-* :class:`CalibratedClock` — a ``window + n * per_request`` model fitted
-  from one scheme's marked replay (:mod:`repro.service.closed`); each
-  scheme gets its *own* schedule — and with ``arrival="closed"`` its
-  completions gate when clients issue again, the true closed loop
-  (``dispatch="replay"``).
+* the nominal clock — the fixed analytic estimate
+  (:func:`~repro.service.params.nominal_request_cycles`) with no window;
+  every scheme shares one schedule, which keeps a service run a single
+  cacheable trace (``dispatch="nominal"``, the default);
+* :func:`repro.service.closed.scheme_clock` — the model fitted from one
+  scheme's marked replay; each scheme gets its *own* schedule — and
+  with ``arrival="closed"`` its completions gate when clients issue
+  again, the true closed loop (``dispatch="replay"``).
 
 Admission control is a bounded queue: an arrival finding ``max_queue``
 requests already waiting is rejected (counted, excluded from the trace)
@@ -58,56 +58,25 @@ from .arrivals import pattern_by_name
 from .traffic import RequestColumns, generate_request_columns
 
 
-class DispatchClock:
-    """How long work occupies a worker, as the dispatch simulation sees it.
-
-    Implementations must be deterministic pure functions of the batch
-    size — the planner replays no traces itself.  ``scheme`` names the
-    scheme the clock was derived from (``None`` = scheme-agnostic).
-    """
-
-    def request_cycles(self) -> float:
-        """Duration of a lone single-request batch."""
-        raise NotImplementedError
-
-    def batch_cycles(self, n_requests: int) -> float:
-        """Duration of one batch of ``n_requests`` coalesced requests."""
-        raise NotImplementedError
-
-
-class NominalClock(DispatchClock):
-    """The fixed analytic estimate; one schedule shared by all schemes."""
-
-    def __init__(self, params: ServiceParams):
-        self.scheme: Optional[str] = None
-        self._service = nominal_request_cycles(params)
-
-    def request_cycles(self) -> float:
-        return self._service
-
-    def batch_cycles(self, n_requests: int) -> float:
-        return self._service * n_requests
-
-
 @dataclass(frozen=True)
-class CalibratedClock(DispatchClock):
-    """``window + n * per_request`` fitted from one scheme's replay.
+class DispatchClock:
+    """How long work occupies a worker, as the dispatch simulation sees
+    it: ``window + n * per_request`` cycles for a batch of ``n``.
 
     ``window_cycles`` is the fixed cost of opening/closing the batch's
-    permission window under the scheme (SETPERM pair, shootdowns, the
+    permission window under ``scheme`` (SETPERM pair, shootdowns, the
     flush tail it induces); ``per_request_cycles`` the marginal cost of
-    one more coalesced request.  Built by
-    :func:`repro.service.closed.scheme_clock`.
+    one more coalesced request.  The nominal clock is scheme-agnostic
+    (``scheme=None``) and has no window;
+    :func:`repro.service.closed.scheme_clock` fits one per scheme.
     """
 
-    scheme: str
+    scheme: Optional[str]
     window_cycles: float
     per_request_cycles: float
 
-    def request_cycles(self) -> float:
-        return self.window_cycles + self.per_request_cycles
-
     def batch_cycles(self, n_requests: int) -> float:
+        """Duration of one batch of ``n_requests`` coalesced requests."""
         return self.window_cycles + self.per_request_cycles * n_requests
 
 
@@ -210,9 +179,9 @@ def build_plan(params: ServiceParams,
             raise SimulationError(
                 "dispatch='replay' schedules are scheme-keyed; build them "
                 "with repro.service.closed.build_plan_keyed(params, scheme)")
-        clock = NominalClock(params)
+        clock = DispatchClock(None, 0.0, nominal_request_cycles(params))
     policy = policy_by_name(params.sched_policy)
-    state = SchedState(params, clock, max(1, params.workers))
+    state = SchedState(params, max(1, params.workers))
     if params.arrival == "closed" and params.dispatch == "replay":
         return _dispatch_closed(params, clock, policy, state)
     return _dispatch_stream(params, clock, policy, state)

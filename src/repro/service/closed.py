@@ -11,7 +11,8 @@ function of ``(ServiceParams, scheme)``:
    an unbounded queue, and a capped request budget — and replay it
    marked under the target scheme;
 2. least-squares fit the per-batch completion deltas to
-   ``window + n * per_request`` (:class:`CalibratedClock`);
+   ``window + n * per_request`` (a
+   :class:`~repro.service.batching.DispatchClock`);
 3. drive the dispatch simulation of the *real* params with that clock
    (:func:`build_plan_keyed`) and execute the plan into a trace
    (:func:`generate_service_trace_keyed`).
@@ -37,7 +38,7 @@ from ..core.schemes import hard_domain_limit
 from ..cpu.trace import Trace
 from ..errors import PkeyError, SimulationError
 from ..workloads.base import Workspace
-from .batching import CalibratedClock, ServicePlan, build_plan
+from .batching import DispatchClock, ServicePlan, build_plan
 from .params import ServiceParams
 
 #: Request budget of a calibration run — enough batches for a stable
@@ -47,7 +48,7 @@ CALIBRATION_REQUESTS = 240
 #: (calibration params, scheme) -> fitted clock.  Process-local; entries
 #: are tiny (two floats) and the key is the full frozen params, so there
 #: is nothing to invalidate.
-_CLOCK_MEMO: Dict[Tuple[ServiceParams, str], CalibratedClock] = {}
+_CLOCK_MEMO: Dict[Tuple[ServiceParams, str], DispatchClock] = {}
 
 
 def calibration_params(params: ServiceParams) -> ServiceParams:
@@ -69,7 +70,7 @@ def calibration_params(params: ServiceParams) -> ServiceParams:
         workers=1, max_queue=0, sched_policy="static", slo_p99_cycles=0.0)
 
 
-def scheme_clock(params: ServiceParams, scheme: str) -> CalibratedClock:
+def scheme_clock(params: ServiceParams, scheme: str) -> DispatchClock:
     """The calibrated dispatch clock of ``scheme`` under ``params``."""
     limit = hard_domain_limit(scheme)
     if limit is not None and params.n_clients > limit:
@@ -87,7 +88,7 @@ def scheme_clock(params: ServiceParams, scheme: str) -> CalibratedClock:
     return clock
 
 
-def _calibrate(probe: ServiceParams, scheme: str) -> CalibratedClock:
+def _calibrate(probe: ServiceParams, scheme: str) -> DispatchClock:
     from ..engine.context import replay_one
     from .server import ServiceWorkload, batch_boundaries
     plan = build_plan(probe)
@@ -104,8 +105,8 @@ def _calibrate(probe: ServiceParams, scheme: str) -> CalibratedClock:
         deltas.append(elapsed - previous)
         previous = elapsed
     window, per_request = _fit(sizes, deltas)
-    return CalibratedClock(scheme=scheme, window_cycles=window,
-                           per_request_cycles=per_request)
+    return DispatchClock(scheme=scheme, window_cycles=window,
+                         per_request_cycles=per_request)
 
 
 def _fit(sizes: List[int], deltas: List[float]) -> Tuple[float, float]:

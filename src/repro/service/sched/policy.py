@@ -46,7 +46,6 @@ from typing import TYPE_CHECKING, Deque, Dict, List, Optional
 from ...registry import Registry
 
 if TYPE_CHECKING:
-    from ..batching import DispatchClock
     from ..params import ServiceParams
 
 #: Scheduling policies (``params.sched_policy``).  Built-ins live in
@@ -99,15 +98,13 @@ class SchedState:
     (:mod:`repro.service.sched.profile`) are separate things.
     """
 
-    __slots__ = ("params", "clock", "workers", "clients", "arrivals",
+    __slots__ = ("params", "workers", "clients", "arrivals",
                  "demand", "epoch_demand", "affinity", "predicted", "shed",
                  "migrations", "epochs", "batches_in_epoch",
                  "service_cycles", "service_requests")
 
-    def __init__(self, params: "ServiceParams", clock: "DispatchClock",
-                 workers: int):
+    def __init__(self, params: "ServiceParams", workers: int):
         self.params = params
-        self.clock = clock
         self.workers = workers
         #: Per-row client and arrival time of the request store, as
         #: Python lists (the closed loop appends as it issues).

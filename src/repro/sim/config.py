@@ -78,7 +78,6 @@ class MPKVirtConfig:
     #: NULL *domain*, not by burning a key on it).
     usable_keys: int = 16
     free_key_check_cycles: int = 1
-    dttlb_hit_cycles: int = 1
     dttlb_entry_change_cycles: int = 1
     dttlb_miss_cycles: int = 30
     pkru_update_cycles: int = 1
@@ -134,27 +133,19 @@ class ErimConfig:
 
 
 @dataclass(frozen=True)
-class PksSealConfig:
+class PksSealConfig(MPKVirtConfig):
     """Sealable protection keys (PKS-style supervisor keys with seals).
 
-    Same virtualized key pool as :class:`MPKVirtConfig`, but the first
-    ``sealable_keys`` key assignments *seal* their key: a sealed key is
-    never picked as a remap victim, so its domain never re-keys (and
-    never pays a shootdown) for the life of the attachment.  The
-    unsealed remainder of the pool absorbs all churn.
+    Same virtualized key pool and costs as :class:`MPKVirtConfig`, but
+    the first ``sealable_keys`` key assignments *seal* their key: a
+    sealed key is never picked as a remap victim, so its domain never
+    re-keys (and never pays a shootdown) for the life of the
+    attachment.  The unsealed remainder of the pool absorbs all churn.
     """
 
-    dttlb_entries: int = 16
-    usable_keys: int = 16
     #: Keys sealed on first assignment; must stay below ``usable_keys``
     #: (at least one key must remain evictable).
     sealable_keys: int = 8
-    free_key_check_cycles: int = 1
-    dttlb_hit_cycles: int = 1
-    dttlb_entry_change_cycles: int = 1
-    dttlb_miss_cycles: int = 30
-    pkru_update_cycles: int = 1
-    tlb_invalidation_cycles: int = 286
 
 
 @dataclass(frozen=True)
@@ -173,24 +164,19 @@ class DptiConfig:
 
 
 @dataclass(frozen=True)
-class Poe2Config:
+class Poe2Config(MPKVirtConfig):
     """Arm permission-overlay registers (POE), widened to 64 overlays.
 
     The overlay index in the PTE selects a field of the POR_EL0
     register, so a switch is an unprivileged MSR write — cheaper than
     WRPKRU — and the 64-entry overlay space virtualizes exactly like
-    MPK keys (descriptor cache + remap on demand).  Shootdowns ride the
-    hardware DVM broadcast (TLBI), not IPIs, so the per-remap bill is
-    well below x86's.
+    MPK keys (descriptor cache + remap on demand, at
+    :class:`MPKVirtConfig`'s costs).  Shootdowns ride the hardware DVM
+    broadcast (TLBI), not IPIs, so the per-remap bill is well below
+    x86's.
     """
 
-    dttlb_entries: int = 16
     usable_keys: int = 64
-    free_key_check_cycles: int = 1
-    dttlb_hit_cycles: int = 1
-    dttlb_entry_change_cycles: int = 1
-    dttlb_miss_cycles: int = 30
-    pkru_update_cycles: int = 1
     #: TLBI broadcast over the DVM fabric (no IPI round-trip).
     tlb_invalidation_cycles: int = 120
     #: Unprivileged POR_EL0 MSR write.

@@ -374,14 +374,6 @@ class PMem:
             if self._pte_get(vpn) is None:
                 self.kernel.handle_page_fault(self.process, vpn << 12)
 
-    # -- allocation -------------------------------------------------------------------
-
-    def pmalloc(self, handle: PoolHandle, size: int, *, align: int = 8) -> OID:
-        return handle.pool.pmalloc(size, align=align)
-
-    def pfree(self, oid: OID) -> None:
-        self.pools[oid.pool_id].pool.pfree(oid)
-
     # -- typed access -------------------------------------------------------------------
 
     def read_u64(self, oid: OID, offset: int = 0,

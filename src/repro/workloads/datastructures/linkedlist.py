@@ -21,7 +21,7 @@ NODE_SIZE = 64
 
 
 class PersistentLinkedList:
-    """Singly linked list with positional and sorted insertion."""
+    """Singly linked list with positional insertion and deletion."""
 
     def __init__(self, workspace: Workspace, pools: List[PoolHandle],
                  *, spill: float = 0.0, node_align: int = 8):
@@ -82,29 +82,6 @@ class PersistentLinkedList:
         self.ps.free_node(cur)
         self.ps.write_count(self.ps.read_count() - 1)
         return key
-
-    def insert_sorted(self, key: int, value: int) -> OID:
-        """Insert keeping ascending key order (full traversal)."""
-        prev: Optional[OID] = None
-        cur = self.ps.read_entry()
-        while not is_null(cur) and self.mem.read_u64(cur, OFF_KEY) < key:
-            prev = cur
-            cur = self.mem.read_oid(cur, OFF_NEXT)
-        node = self._new_node(key, value, cur if not is_null(cur) else NULL_OID)
-        if prev is None:
-            self.ps.write_entry(node)
-        else:
-            self.mem.write_oid(prev, OFF_NEXT, node)
-        self.ps.write_count(self.ps.read_count() + 1)
-        return node
-
-    def lookup(self, key: int) -> Optional[int]:
-        cur = self.ps.read_entry()
-        while not is_null(cur):
-            if self.mem.read_u64(cur, OFF_KEY) == key:
-                return self.mem.read_u64(cur, OFF_VALUE)
-            cur = self.mem.read_oid(cur, OFF_NEXT)
-        return None
 
     def keys(self) -> List[int]:
         """In-order key list (validation aid; trace with ws.untraced())."""

@@ -6,21 +6,24 @@ import pytest
 
 from repro.permissions import Perm
 from repro.core.schemes import scheme_by_name
-from repro.mem.tlb import TLBEntry, TwoLevelTLB
+from repro.mem.tlb import TLBEntry
 from repro.os.kernel import Kernel
 from repro.sim.config import DEFAULT_CONFIG
 from repro.sim.stats import RunStats
 
+from ..oracle import DictTwoLevelTLB
+
 
 class SchemeHarness:
-    """Drives one scheme the way the replay engine would, without traces."""
+    """Drives one scheme the way the replay engine would, without traces,
+    on the reference interpreter's TLB."""
 
     def __init__(self, name: str, config=None):
         self.config = config or DEFAULT_CONFIG
         self.kernel = Kernel()
         self.process = self.kernel.create_process()
         tlb_cfg = self.config.tlb
-        self.tlb = TwoLevelTLB(
+        self.tlb = DictTwoLevelTLB(
             l1_entries=tlb_cfg.l1_entries, l1_ways=tlb_cfg.l1_ways,
             l2_entries=tlb_cfg.l2_entries, l2_ways=tlb_cfg.l2_ways)
         self.stats = RunStats()

@@ -2,8 +2,14 @@
 
 import pytest
 
+from repro.core.schemes import scheme_by_name
+from repro.cpu.fast_timing import FastReplayEngine
 from repro.errors import SimulationError
 from repro.mem.memory import NVM_FRAME_BASE, PhysicalMemory
+from repro.sim.config import DEFAULT_CONFIG, MemoryConfig
+from repro.workloads.base import UnprotectedPolicy, Workspace
+
+from ..oracle import ReferenceEngine
 
 
 class TestFrameAllocation:
@@ -38,16 +44,24 @@ class TestFrameAllocation:
 
 
 class TestLatency:
-    def test_nvm_is_3x_dram_by_default(self):
-        phys = PhysicalMemory()
-        dram = phys.latency_for_frame(phys.alloc_dram_frame())
-        nvm = phys.latency_for_frame(phys.alloc_nvm_frame())
-        assert dram == 120
-        assert nvm == 360
+    """Frames are classified by region; a replay charges each region
+    the latency of its ``config.memory``."""
 
     def test_custom_latencies(self):
-        phys = PhysicalMemory(dram_latency=100, nvm_latency=500)
-        assert phys.latency_for_frame(phys.alloc_nvm_frame()) == 500
+        config = DEFAULT_CONFIG.with_overrides(
+            memory=MemoryConfig(dram_latency=100, nvm_latency=500))
+        ws = Workspace(UnprotectedPolicy(), seed=1)
+        handle = ws.create_and_attach("p", 8 << 20)
+        ws.mem.read_u64(handle.pool.pmalloc(64), 0)
+        ws.stack_access(n=1)
+        trace = ws.finish()
+        for engine_class in (FastReplayEngine, ReferenceEngine):
+            runs = [engine_class(cfg, ws.kernel, ws.process,
+                                 scheme_by_name("baseline")).run(trace)
+                    for cfg in (DEFAULT_CONFIG, config)]
+            # One NVM and one DRAM line miss to memory.
+            assert runs[1].cycles - runs[0].cycles == pytest.approx(
+                (500 - 360 + 100 - 120) * config.processor.stall_overlap)
 
     def test_is_nvm_frame(self):
         assert PhysicalMemory.is_nvm_frame(NVM_FRAME_BASE)

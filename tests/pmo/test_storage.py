@@ -52,9 +52,6 @@ class TestBounds:
 
 class TestTypedAccess:
     @pytest.mark.parametrize("width,writer,reader,value", [
-        (1, "write_u8", "read_u8", 0xAB),
-        (2, "write_u16", "read_u16", 0xABCD),
-        (4, "write_u32", "read_u32", 0xDEADBEEF),
         (8, "write_u64", "read_u64", 0x0123456789ABCDEF),
     ])
     def test_roundtrip(self, width, writer, reader, value):
@@ -64,13 +61,14 @@ class TestTypedAccess:
 
     def test_little_endian_layout(self):
         mem = SparseMemory(64)
-        mem.write_u32(0, 0x11223344)
-        assert mem.read(0, 4) == bytes([0x44, 0x33, 0x22, 0x11])
+        mem.write_u64(0, 0x1122334455667788)
+        assert mem.read(0, 8) == bytes(
+            [0x88, 0x77, 0x66, 0x55, 0x44, 0x33, 0x22, 0x11])
 
     def test_values_truncate_to_width(self):
         mem = SparseMemory(64)
-        mem.write_u8(0, 0x1FF)
-        assert mem.read_u8(0) == 0xFF
+        mem.write_u64(0, 1 << 64 | 0xFF)
+        assert mem.read_u64(0) == 0xFF
 
 
 class TestPersistenceModel:

@@ -26,9 +26,9 @@ import numpy as np
 
 from repro.permissions import Perm
 from repro.service.arrivals import pattern_by_name
-from repro.service.batching import (DispatchClock, NominalClock, PlanColumns,
-                                    ServicePlan)
+from repro.service.batching import DispatchClock, PlanColumns, ServicePlan
 from repro.service.latency import _served_plan_order
+from repro.service.params import nominal_request_cycles
 from repro.service.sched.accounting import SchedAccounting
 from repro.service.sched.policy import (ADMIT, MIN_PREDICTIONS,
                                         PREDICTION_WINDOW, REJECT, SHED)
@@ -176,13 +176,12 @@ def served_batches(trace, plan) -> List[Batch]:
 class SchedState:
     """Mutable control-loop bookkeeping of one dispatch simulation."""
 
-    __slots__ = ("params", "clock", "workers", "demand", "epoch_demand",
+    __slots__ = ("params", "workers", "demand", "epoch_demand",
                  "affinity", "predicted", "shed", "migrations", "epochs",
                  "batches_in_epoch", "service_cycles", "service_requests")
 
-    def __init__(self, params, clock: DispatchClock, workers: int):
+    def __init__(self, params, workers: int):
         self.params = params
-        self.clock = clock
         self.workers = workers
         #: client -> dispatch-clock service cycles received so far.
         self.demand: Dict[int, float] = {}
@@ -351,12 +350,19 @@ POLICIES = {"static": StaticPolicy(), "weighted_fair": WeightedFairPolicy(),
 # -- the object planner -----------------------------------------------------------
 
 
+def nominal_clock(params) -> DispatchClock:
+    """The scheme-agnostic clock :func:`repro.service.build_plan` uses
+    when given none."""
+    return DispatchClock(None, 0.0, nominal_request_cycles(params))
+
+
+
 def build_plan(params, clock: Optional[DispatchClock] = None) -> ObjectPlan:
     """Simulate admission + batching + per-worker dispatch on objects."""
     if clock is None:
-        clock = NominalClock(params)
+        clock = nominal_clock(params)
     policy = POLICIES[params.sched_policy]
-    state = SchedState(params, clock, max(1, params.workers))
+    state = SchedState(params, max(1, params.workers))
     if params.arrival == "closed" and params.dispatch == "replay":
         plan = _closed_feedback_plan(params, clock, policy, state)
     else:

@@ -7,7 +7,7 @@ from repro.errors import SimulationError
 from repro.service import (ServiceParams, account, build_plan,
                            build_plan_keyed, generate_service_trace_keyed,
                            scheme_clock)
-from repro.service.batching import CalibratedClock
+from repro.service.batching import DispatchClock
 from repro.service.closed import CALIBRATION_REQUESTS, calibration_params
 from repro.service.server import batch_boundaries
 from repro.sim.config import DEFAULT_CONFIG
@@ -38,7 +38,7 @@ class TestCalibration:
 
     def test_scheme_clock_is_calibrated_and_memoized(self):
         clock = scheme_clock(CLOSED, "domain_virt")
-        assert isinstance(clock, CalibratedClock)
+        assert isinstance(clock, DispatchClock)
         assert clock.scheme == "domain_virt"
         assert clock.window_cycles >= 0.0
         assert clock.per_request_cycles >= 1.0

@@ -13,7 +13,7 @@ from dataclasses import replace
 import pytest
 
 from repro.engine import replay_one
-from repro.service import (CalibratedClock, ServiceParams, account,
+from repro.service import (DispatchClock, ServiceParams, account,
                            batch_boundaries, build_plan, profile_tenants)
 from repro.service.server import ServiceWorkload
 from repro.sim.config import DEFAULT_CONFIG
@@ -29,8 +29,8 @@ OPEN = ServiceParams(n_clients=16, n_requests=300, pattern="churn",
 #: The closed feedback loop on a fixed calibrated clock (no replay).
 CLOSED = replace(OPEN, arrival="closed", dispatch="replay",
                  think_cycles=1000.0, max_queue=4)
-CLOCK = CalibratedClock(scheme="fixed", window_cycles=150.0,
-                        per_request_cycles=320.0)
+CLOCK = DispatchClock(scheme="fixed", window_cycles=150.0,
+                      per_request_cycles=320.0)
 
 
 def plan_signature(plan):

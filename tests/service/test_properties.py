@@ -28,7 +28,7 @@ from repro.core.schemes import available_schemes, scheme_by_name
 from repro.cpu.fast_timing import FastReplayEngine, supports_fast_replay
 from repro.engine import (Engine, ReplayContext, TraceCache, WorkloadSpec,
                           replay_one)
-from repro.service import (CalibratedClock, ServiceParams, account,
+from repro.service import (DispatchClock, ServiceParams, account,
                            account_sharded, batch_boundaries, build_plan,
                            build_plan_keyed, shard_by_worker)
 from repro.service.server import ServiceWorkload
@@ -39,8 +39,8 @@ from ..oracle import ReferenceEngine
 FREQ = DEFAULT_CONFIG.processor.frequency_hz
 #: A fixed stand-in for a scheme-calibrated clock, so closed-feedback
 #: draws need no calibration replay.
-CLOCK = CalibratedClock(scheme="fixed", window_cycles=120.0,
-                        per_request_cycles=330.0)
+CLOCK = DispatchClock(scheme="fixed", window_cycles=120.0,
+                      per_request_cycles=330.0)
 
 
 @st.composite

@@ -18,14 +18,13 @@ from repro.scenario.library import find_scenario
 from repro.scenario.run import serve_compiled
 from repro.service import (ServiceParams, account, build_plan, jain_index,
                            policy_names, profile_tenants)
-from repro.service.batching import NominalClock
 from repro.service.sched import policy_by_name
 from repro.service.server import batch_boundaries, generate_service_trace
 from repro.service.traffic import think_gap
 from repro.sim.config import DEFAULT_CONFIG
 
 from .legacy import (Batch, ObjectPlan, Request, _take_batch,
-                     generate_requests, object_view)
+                     generate_requests, nominal_clock, object_view)
 
 FREQ = DEFAULT_CONFIG.processor.frequency_hz
 
@@ -133,7 +132,7 @@ class TestStaticBitIdentity:
     def test_stream_plan_is_bit_identical(self, workers):
         params = replace(CHURN, workers=workers)
         current = object_view(build_plan(params))
-        legacy = _legacy_stream_plan(params, NominalClock(params))
+        legacy = _legacy_stream_plan(params, nominal_clock(params))
         assert current.batches == legacy.batches
         assert current.rejected == legacy.rejected
         assert current.loop_iterations == legacy.loop_iterations
@@ -144,7 +143,7 @@ class TestStaticBitIdentity:
     def test_closed_feedback_plan_is_bit_identical(self, workers):
         params = ServiceParams(n_clients=6, n_requests=120, workers=workers,
                                arrival="closed", dispatch="replay")
-        clock = NominalClock(params)
+        clock = nominal_clock(params)
         current = object_view(build_plan(params, clock))
         legacy = _legacy_closed_plan(params, clock)
         assert current.batches == legacy.batches

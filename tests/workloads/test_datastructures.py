@@ -386,15 +386,6 @@ class TestLinkedList:
         ll = PersistentLinkedList(ws, handles)
         assert ll.delete_at(0) is None
 
-    def test_sorted_insert_and_lookup(self):
-        ws, handles = make_workspace()
-        ll = PersistentLinkedList(ws, handles)
-        for key in (5, 1, 3, 9, 7):
-            ll.insert_sorted(key, key * 2)
-        assert ll.keys() == [1, 3, 5, 7, 9]
-        assert ll.lookup(7) == 14
-        assert ll.lookup(2) is None
-
 
 class TestStringArray:
     def test_append_get_set(self):

@@ -66,6 +66,14 @@ class TestMicroGeneration:
         domains = {e[3] for e in trace.events if e[0] == tr.PERM}
         assert len(domains) > 1
 
+    @pytest.mark.parametrize("bench", ["avl", "rbt", "ll"])
+    def test_deletes_free_nodes_behind_short_pads(self, bench):
+        """At ``node_align=16`` a bump leaves 8-byte pads in front of
+        nodes; deleting such a node must free it."""
+        trace, _ = generate_micro_trace(MicroParams(
+            benchmark=bench, n_pools=4, node_align=16, operations=400))
+        assert len(trace) > 0
+
 
 class TestZipfSampler:
     def test_exponent_zero_is_roughly_uniform(self):

@@ -18,11 +18,11 @@ Usage::
 iteration; CI runs the full size.  ``--no-replay`` stops after
 generation + plan accounting structures, for machines where the marked
 replay is not worth the wait: it is the longest stage.  At full size
-(12,667,605 events) on a shared 2-vCPU Xeon host (Python 3.11.7, numpy
-2.4.6) this printed plan 3.24 s, generate 2.52 s, replay 27.81 s and
-account 2.60 s, at 1,595 MiB peak RSS; at ``REPRO_SMOKE=1`` (649,193
-events), plan 0.17 s, generate 0.21 s, replay 1.32 s and account
-0.09 s, at 132 MiB.
+(12,667,605 events, 1,000,000 marks) on a shared 2-vCPU Xeon host
+(Python 3.11.7, numpy 2.4.6) this printed plan 1.67 s, generate
+1.53 s, replay 15.36 s and account 1.39 s, at 1,594 MiB peak RSS; at
+``REPRO_SMOKE=1`` (649,193 events), plan 0.09 s, generate 0.14 s,
+replay 0.73 s and account 0.04 s, at 132 MiB.
 """
 
 import argparse

@@ -63,7 +63,12 @@ protection state:
   memoised per (tag, thread) until the next cold event or full TLB
   walk.  Every cold path (page walk, key remap, SETPERM, context switch,
   attach/detach) calls the *real* scheme methods, so charging and state
-  transitions are the reference code's own.
+  transitions are the reference code's own.  A replay enters its walker
+  once, marks or not: before its first visit at or past a mark, the
+  walker snapshots the scheme charges made so far, which costs one
+  integer comparison per visit.  A tail charges nothing but its PTLB
+  hit, so a mark inside a dv run counts the hits before it and the
+  walk never stops at a mark.
 
 Which walker a scheme gets is decided by :func:`kernel_for` from the
 ``check`` kind of the scheme's declared
@@ -95,7 +100,6 @@ A live-TLB walk extends its fold on demand up to the event it stamps.
 from __future__ import annotations
 
 import copy
-from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Tuple, Type
 
 import numpy as np
@@ -185,10 +189,9 @@ def supports_fast_replay(config: SimConfig,
 def _cold_stream(columns: tr.TraceColumns) -> List[tuple]:
     """The trace's non-memory events as ``(index, kind, tid, a, b)``.
 
-    The walkers consume these through a monotone cursor — the cold
-    events of a segment arrive in index order.  ``b`` is pre-converted
-    to :class:`Perm` for PERM/INIT_PERM events, saving an enum
-    construction per event per replay.
+    A walk consumes them in index order.  ``b`` is pre-converted to
+    :class:`Perm` for PERM/INIT_PERM events, saving an enum construction
+    per event per replay.
     """
     kinds = columns.kinds
     idx = np.nonzero((kinds >= 2) & (kinds != 7))[0]
@@ -382,10 +385,8 @@ class FastReplayEngine(ReplayEngine):
         cache_cfg = config.cache
         tl1 = TLBLevel(tlb_cfg.l1_entries, tlb_cfg.l1_ways)
         tl2 = TLBLevel(tlb_cfg.l2_entries, tlb_cfg.l2_ways)
-        cl1 = CacheLevel(cache_cfg.l1_size, cache_cfg.l1_ways,
-                         latency=cache_cfg.l1_latency)
-        cl2 = CacheLevel(cache_cfg.l2_size, cache_cfg.l2_ways,
-                         latency=cache_cfg.l2_latency)
+        cl1 = CacheLevel(cache_cfg.l1_size, cache_cfg.l1_ways)
+        cl2 = CacheLevel(cache_cfg.l2_size, cache_cfg.l2_ways)
         g1 = tl1.slot_of.get
         g2 = tl2.slot_of.get
         sl1 = tl1.slot_of
@@ -621,11 +622,9 @@ class FastReplayEngine(ReplayEngine):
         # Run tails look their stores up here (bytes.find/count).
         self._kinds_b = cache(("kinds_b",), columns.kinds.tobytes)
         self._columns = columns
-        self._carry = None
         if stream:
             walk = self._walk_stream
             self._checks = dv_checks if kind == _DV else ()
-            self._cj = 0
             tlb_codes = codes
         else:
             walk = self._walk_live
@@ -675,20 +674,20 @@ class FastReplayEngine(ReplayEngine):
             self._tlb_pen = tlb_pen.tolist()
             self._cache_pen = cache_pen.tolist()
 
-        # Walk segment by segment, capturing the scheme charges so far
-        # at every mark; the machine cycles come from the fold.
-        bounds = list(marks) if marks else []
-        charged: List[float] = []
-        ci = p = 0
+        # One walk: before its first visit at or past a mark, the walker
+        # snapshots the scheme charges made so far (_snap); marks at or
+        # past its last visit see every charge.  The machine cycles come
+        # from the fold.  The pending marks end with n, which no visit
+        # reaches.
+        marks = list(marks or ())
+        self._pending = iter([*marks, n])
+        charged = self._charged = []
         try:
-            for stop in bounds:
-                ci = walk(p, stop, ci)
-                charged.append(stats.cycles)
-                p = stop
-            walk(p, n, ci)
+            walk()
         except ProtectionFault:
             self._settle(codes, tlb_codes, self._fault_at + 1, faulted=True)
             raise
+        charged += [stats.cycles] * (len(marks) - len(charged))
         self._settle(codes, tlb_codes, n, faulted=False)
         fold = self._fold if self._fold is not None else get_fold()
         if self._folded < n:
@@ -696,7 +695,7 @@ class FastReplayEngine(ReplayEngine):
         if marks:
             stats.mark_cycles = [
                 machine + charges for machine, charges in zip(
-                    fold[np.minimum(bounds, n)].tolist(), charged)]
+                    fold[np.minimum(marks, n)].tolist(), charged)]
         stats.cycles += float(fold[n])
         stats.instructions = int(columns.icounts.sum(dtype=np.int64))
 
@@ -777,18 +776,23 @@ class FastReplayEngine(ReplayEngine):
                 f"(domain {domain}, thread {tid})",
                 vaddr=a, domain=domain, thread=tid, is_write=is_write)
 
-    def _tails(self, q: int, lo: int, end: int, pm: int, domain: int,
+    def _snap(self, i: int, charges: float) -> int:
+        """Snapshot ``charges`` for the pending mark, which the walker
+        has reached at event ``i``, and for every later mark at or
+        before ``i``; returns the first pending mark past ``i``."""
+        mark = i
+        while mark <= i:
+            self._charged.append(charges)
+            mark = next(self._pending)
+        return mark
+
+    def _tails(self, lo: int, end: int, pm: int, domain: int,
                tid: int) -> int:
         """Check the run tails ``[lo, end)`` under their head's effective
         permission ``pm``: with 0 every tail violates, with 1 every tail
-        store, with 2 none.  The check stops at the segment end ``q``; a
-        run that a mark cuts carries ``(end, pm, domain, tid)`` into the
-        next segment.  Counts the violations and returns the tails
+        store, with 2 none.  Counts the violations and returns the tails
         checked — unless protection is enforced, when the first
         violating tail raises instead (``_fault_at``)."""
-        if end > q:
-            self._carry = (end, pm, domain, tid)
-            end = q
         if pm < 2:
             kinds = self._kinds_b
             if pm:
@@ -806,21 +810,19 @@ class FastReplayEngine(ReplayEngine):
 
     # -- stream walker (codes / dv) -------------------------------------------
 
-    def _walk_stream(self, p: int, q: int, ci: int) -> int:
-        """Replay the protection state of events [p, q) for a scheme
-        whose TLB levels the radiograph already holds.
+    def _walk_stream(self) -> None:
+        """Replay the protection state of every event for a scheme whose
+        TLB levels the radiograph already holds.
 
         Visits the cold events and, for dv, the radiograph's check
         records, in index order.  A record stands for one page run: its
         head's PTLB lookup, with an inlined pseudo-LRU touch (a miss
         calls the scheme's own refill), then one PTLB hit per tail.
-        With integer charges the hits are booked once, at the end of the
-        segment, and a stamp adds the ones still pending; otherwise
-        (``_per_hit``) each record's hits, and a carried run's, are
-        booked one by one before anything else can charge.  A run that
-        a mark cuts books its tails before the mark here and carries
-        the rest into the next segment.  Returns the advanced cold-event
-        cursor.
+        With integer charges the hits are booked once, after the walk,
+        and a stamp or a mark snapshot adds the ones still pending;
+        otherwise (``_per_hit``) each record's hits are booked one by
+        one before anything else can charge, and a mark inside the run
+        sees those before it booked and the rest not yet.
         """
         stats = self.stats
         scheme = self.scheme
@@ -829,42 +831,23 @@ class FastReplayEngine(ReplayEngine):
         per_hit = self._per_hit
         checks = self._checks
         cold = self._cold
-        cj = self._cj
+        n = len(self._columns)
+        nm = next(self._pending)
         n_chk = len(checks)
         n_cold = len(cold)
+        ci = cj = 0
         # PTLB locals, rebound after every cold event (a CTXSW flush
         # rebinds the slot list and PLRU bits; SETPERM rewrites entries).
         stale = True
         n_ph = 0
 
-        def tails(lo: int, end: int, pm: int, dom: int, tid: int) -> None:
-            """A run's tails up to the mark (:meth:`_tails`): one PTLB
-            hit each for a domain — through the faulting tail when one
-            raises."""
-            nonlocal n_ph
-            try:
-                checked = self._tails(q, lo, end, pm, dom, tid)
-            except ProtectionFault:
-                if dom:
-                    n_ph += self._fault_at + 1 - lo
-                raise
-            if dom:
-                n_ph += checked
-
         try:
-            carry = self._carry
-            if carry is not None:
-                self._carry = None
-                tails(p, *carry)
-                if per_hit and n_ph:
-                    self._book_hits(n_ph)
-                    n_ph = 0
             while True:
-                ii = checks[cj][0] if cj < n_chk else q
-                jj = cold[ci][0] if ci < n_cold else q
-                if ii >= q and jj >= q:
-                    break
+                ii = checks[cj][0] if cj < n_chk else n
+                jj = cold[ci][0] if ci < n_cold else n
                 if ii < jj:
+                    if ii >= nm:
+                        nm = self._snap(ii, stats.cycles + n_ph * acc)
                     _, dom, pm, w, tid, a, end = checks[cj]
                     cj += 1
                     if dom:
@@ -909,22 +892,43 @@ class FastReplayEngine(ReplayEngine):
                     if not (pm == 2 if w else pm != 0):
                         self._violation(ii, a, dom, tid, w)
                     if end - ii > 1:
-                        tails(ii + 1, end, pm, dom, tid)
+                        # The tails (:meth:`_tails`): one PTLB hit each
+                        # for a domain, through the faulting tail when
+                        # one raises.
+                        try:
+                            checked = self._tails(ii + 1, end, pm, dom, tid)
+                        except ProtectionFault:
+                            if dom:
+                                n_ph += self._fault_at - ii
+                            raise
+                        if dom:
+                            n_ph += checked
+                        while nm < end:
+                            # A mark inside the run: the tails from it
+                            # on have not happened yet.
+                            ahead = end - nm if dom else 0
+                            if per_hit:
+                                self._book_hits(n_ph - ahead)
+                                n_ph = ahead
+                            nm = self._snap(nm, stats.cycles
+                                            + (n_ph - ahead) * acc)
                     if per_hit and n_ph:
                         self._book_hits(n_ph)
                         n_ph = 0
-                else:
+                elif jj < n:
+                    if jj >= nm:
+                        nm = self._snap(jj, stats.cycles + n_ph * acc)
                     _, k, tid, a, b = cold[ci]
                     ci += 1
                     if ev is not None:
                         self._stamp(jj, stats.cycles + n_ph * acc)
                     self._cold_event(k, tid, a, b)
                     stale = True
+                else:
+                    break
         finally:
-            self._cj = cj
             if n_ph:
                 self._book_hits(n_ph)
-        return ci
 
     def _book_hits(self, n: int) -> None:
         """Book ``n`` PTLB hits and their access charges: one ``n*c``
@@ -943,8 +947,8 @@ class FastReplayEngine(ReplayEngine):
 
     # -- live-TLB walker (mpk / swtable) --------------------------------------
 
-    def _walk_live(self, p: int, q: int, ci: int) -> int:
-        """Replay events [p, q) against the live TLB, visiting run heads
+    def _walk_live(self) -> None:
+        """Replay every event against the live TLB, visiting run heads
         and cold events only.
 
         L1 hits stay inline; L2 hits and full misses are recorded in
@@ -955,30 +959,17 @@ class FastReplayEngine(ReplayEngine):
         (``fill_tags`` may remap keys or evict a domain's mapping).
         A run's tails hit the L1 entry their head just touched and keep
         TLB level 0; they check against the head's effective permission
-        (:meth:`_tails`).  A run that a mark cuts checks its tails
-        before the mark here and carries the rest into the next
-        segment, as the stream walker does.  Returns the advanced
-        cold-event cursor.
+        (:meth:`_tails`) and charge nothing, so a mark inside the run
+        sees the charges made before its next visit.
         """
         tlev = self._tlev
-        q = min(q, len(tlev))
-        if p >= q:
-            return ci
-        carry = self._carry
-        if carry is not None:
-            self._carry = None
-            self._tails(q, p, *carry)
-        runs = self._runs
-        lo = bisect_left(runs[0], p)
-        hi = bisect_left(runs[0], q)
-        if lo or hi < len(runs[0]):
-            runs = [col[lo:hi] for col in runs]
-
         stats = self.stats
         ev = self._ev
         cold = self._cold
         field = self._tag_field
         probe = self._probe
+        nm = next(self._pending)
+        ci = 0
 
         l1 = self.tlb.l1
         l2 = self.tlb.l2
@@ -996,7 +987,9 @@ class FastReplayEngine(ReplayEngine):
         lperm = 0
 
         try:
-            for i, e, k, tid, a in zip(*runs):
+            for i, e, k, tid, a in zip(*self._runs):
+                if i >= nm:
+                    nm = self._snap(i, stats.cycles)
                 if k <= 1 or k == 7:
                     vpn = a >> 12
                     s = g1(vpn)
@@ -1039,7 +1032,7 @@ class FastReplayEngine(ReplayEngine):
                         if not (pm == 2 if k == 1 else pm != 0):
                             self._violation(i, a, rec[4], tid, k == 1)
                         if e - i > 1 and pm < 2:
-                            self._tails(q, i + 1, e, pm, rec[4], tid)
+                            self._tails(i + 1, e, pm, rec[4], tid)
                 else:
                     ci += 1
                     if ev is not None:
@@ -1049,4 +1042,3 @@ class FastReplayEngine(ReplayEngine):
         finally:
             l1._age = t1
             l2._age = t2
-        return ci

@@ -70,8 +70,7 @@ class ReplayEngine:
             l2_entries=tlb_cfg.l2_entries, l2_ways=tlb_cfg.l2_ways)
         self.caches = self.cache_class(
             l1_size=cache_cfg.l1_size, l1_ways=cache_cfg.l1_ways,
-            l1_latency=cache_cfg.l1_latency, l2_size=cache_cfg.l2_size,
-            l2_ways=cache_cfg.l2_ways, l2_latency=cache_cfg.l2_latency)
+            l2_size=cache_cfg.l2_size, l2_ways=cache_cfg.l2_ways)
         self.stats = RunStats()
         self.scheme = scheme_class(config, process, self.tlb, self.stats)
         #: Cores of the surrounding machine (sharded multi-core replay
@@ -88,11 +87,20 @@ class ReplayEngine:
         ``marks`` is an optional ascending sequence of event indices; the
         total elapsed cycles (machine cycles plus scheme charges) are
         snapshotted just before each marked index and stored on
-        ``RunStats.mark_cycles``.  The service layer uses this for
-        per-request latency accounting; the replay itself is unaffected
-        (the event stream is processed identically, so cycle totals are
-        bit-identical with and without marks).
+        ``RunStats.mark_cycles``.  Equal marks take the same snapshot,
+        and a mark at or past ``len(trace)`` the final total; a negative
+        or descending mark raises :class:`SimulationError`.  The service
+        layer uses this for per-request latency accounting; the replay
+        itself is unaffected (the event stream is processed identically,
+        so cycle totals are bit-identical with and without marks).
         """
+        previous = 0
+        for index, mark in enumerate(marks or ()):
+            if mark < previous:
+                raise SimulationError(
+                    f"mark {index} is {mark}, below {previous}: marks "
+                    f"must ascend from 0")
+            previous = mark
         ev = self._begin(trace)
         try:
             self._simulate(trace, marks)

@@ -27,16 +27,15 @@ class CacheLevel:
     minimum-age victim.
     """
 
-    __slots__ = ("ways", "n_sets", "latency", "slot_of", "lines", "ages",
-                 "_age", "hits", "misses")
+    __slots__ = ("ways", "n_sets", "slot_of", "lines", "ages", "_age",
+                 "hits", "misses")
 
-    def __init__(self, size_bytes: int, ways: int, *, latency: int):
+    def __init__(self, size_bytes: int, ways: int):
         lines = size_bytes // LINE_SIZE
         if lines % ways:
             raise ValueError("line count must be a multiple of ways")
         self.ways = ways
         self.n_sets = lines // ways
-        self.latency = latency
         self.slot_of: dict = {}
         self.lines: List[int] = [-1] * lines
         self.ages: List[int] = [0] * lines
@@ -51,16 +50,16 @@ class CacheLevel:
 class CacheHierarchy:
     """L1D + L2, plus the count of accesses that missed both levels.
 
-    Table II: L1D 32KB/8-way 1 cycle; L2 1MB/16-way 8 cycles.  The
-    replay engine classifies every access against its own copy of these
-    levels and credits the counters here once per replay.
+    Table II: L1D 32KB/8-way; L2 1MB/16-way.  The replay engine
+    classifies every access against its own copy of these levels,
+    credits the counters here once per replay, and charges the
+    latencies of ``config.cache``.
     """
 
     def __init__(self, *, l1_size: int = 32 << 10, l1_ways: int = 8,
-                 l1_latency: int = 1, l2_size: int = 1 << 20,
-                 l2_ways: int = 16, l2_latency: int = 8):
-        self.l1 = CacheLevel(l1_size, l1_ways, latency=l1_latency)
-        self.l2 = CacheLevel(l2_size, l2_ways, latency=l2_latency)
+                 l2_size: int = 1 << 20, l2_ways: int = 16):
+        self.l1 = CacheLevel(l1_size, l1_ways)
+        self.l2 = CacheLevel(l2_size, l2_ways)
         self.mem_accesses = 0
 
     def report_metrics(self, registry) -> None:

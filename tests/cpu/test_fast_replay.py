@@ -22,7 +22,7 @@ from repro.core.schemes import scheme_by_name
 from repro.cpu.fast_timing import (FastReplayEngine, kernel_for,
                                    run_tails, supports_fast_replay)
 from repro.engine.context import ReplayContext, replay_one
-from repro.errors import PkeyError, ProtectionFault
+from repro.errors import PkeyError, ProtectionFault, SimulationError
 from repro.permissions import Perm
 from repro.sim.config import DEFAULT_CONFIG, apply_override
 from repro.sim.stats import RunStats
@@ -64,6 +64,14 @@ def wide_avl_trace():
     # and erim run out of keys, and domain_virt's PTLB misses.
     trace, _ = generate_micro_trace(MicroParams(
         benchmark="avl", n_pools=64, operations=300, seed=7))
+    return trace
+
+
+@pytest.fixture(scope="module")
+def ll_trace():
+    # 11,834 events over a 16-pool linked list.
+    trace, _ = generate_micro_trace(MicroParams(
+        benchmark="ll", n_pools=16, operations=200, seed=7))
     return trace
 
 
@@ -260,6 +268,17 @@ class TestBitIdenticalReplay:
                                  config=config)
         _assert_identical(ref, fast)
 
+    @pytest.mark.parametrize("scheme", ("baseline", "domain_virt",
+                                        "mpk_virt", "libmpk"))
+    def test_cache_latency_overrides(self, micro_trace, scheme):
+        # The engine charges config.cache's latencies, the reference
+        # interpreter its dict levels': both follow the replayed config.
+        config = apply_override(DEFAULT_CONFIG, "cache.l1_latency", 3)
+        config = apply_override(config, "cache.l2_latency", 13)
+        ref, fast = _replay_both(micro_trace, scheme, config=config)
+        _assert_identical(ref, fast)
+        assert fast.cycles != replay_one(micro_trace, scheme).cycles
+
     def test_dv_declares_every_charge(self, wide_avl_trace, monkeypatch):
         # The dv walker's per-hit rule checks only the charges the scheme
         # declares; one booked outside charge_cycles would escape that
@@ -312,6 +331,65 @@ class TestMarks:
         assert [repr(c) for c in ref.mark_cycles] == \
             [repr(c) for c in fast.mark_cycles]
         _assert_identical(ref, fast)
+
+    @pytest.mark.parametrize("engine_class", (ReferenceEngine,
+                                              FastReplayEngine))
+    @pytest.mark.parametrize("scheme", ("mpk_virt", "domain_virt"))
+    @pytest.mark.parametrize("marks, message", (
+        ([5917, 2958], "mark 1 is 2958, below 5917"),
+        ([-1, 5917], "mark 0 is -1, below 0")))
+    def test_refuses_descending_and_negative_marks(self, ll_trace,
+                                                   engine_class, scheme,
+                                                   marks, message):
+        # Taken, the descending pair would have the reference replay
+        # events 2,958-5,916 twice, and the negative mark would index
+        # the engine's fold from its end.
+        with pytest.raises(SimulationError, match=message):
+            _engine(engine_class, ll_trace, scheme).run(ll_trace,
+                                                        marks=marks)
+
+    @pytest.mark.parametrize("scheme", ("baseline", "domain_virt",
+                                        "mpk_virt", "libmpk"))
+    def test_equal_marks_and_marks_past_the_end(self, ll_trace, scheme):
+        n = len(ll_trace)
+        marks = [0, 2958, 2958, 5917, n, n + 5, n + 5]
+        ref, fast = _replay_both(ll_trace, scheme, marks=marks)
+        assert [repr(c) for c in ref.mark_cycles] == \
+            [repr(c) for c in fast.mark_cycles]
+        assert fast.mark_cycles[1] == fast.mark_cycles[2]
+        assert fast.mark_cycles[-3:] == [fast.cycles] * 3
+        _assert_identical(ref, fast)
+
+
+class TestOneWalk:
+    """A replay enters its walker once, whatever its marks."""
+
+    @pytest.mark.parametrize("cut", ("none", "one", "batches"))
+    @pytest.mark.parametrize("scheme", ("baseline", "domain_virt",
+                                        "mpk_virt", "libmpk"))
+    def test_one_walker_entry_per_replay(self, monkeypatch, storm_trace,
+                                         scheme, cut):
+        from repro.service.server import batch_boundaries
+        entries = []
+        for name in ("_walk_live", "_walk_stream"):
+            def counted(engine, walk=getattr(FastReplayEngine, name)):
+                entries.append(walk)
+                return walk(engine)
+            monkeypatch.setattr(FastReplayEngine, name, counted)
+        marks = {"none": None, "one": [len(storm_trace) // 2],
+                 "batches": batch_boundaries(storm_trace)}[cut]
+        replay_one(storm_trace, scheme, marks=marks)
+        assert len(entries) == 1
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), scheme=st.sampled_from(SCHEMES))
+    def test_marks_ascend_to_the_total(self, storm_trace, data, scheme):
+        n = len(storm_trace)
+        stats = replay_one(storm_trace, scheme, _charged(data, True),
+                           marks=_marks(data, storm_trace) + [n])
+        snapshots = stats.mark_cycles
+        assert snapshots[-1] == stats.cycles
+        assert all(a <= b for a, b in zip(snapshots, snapshots[1:]))
 
 
 class TestMetricsParity:

@@ -188,7 +188,7 @@ class TestArrayCacheEquivalence:
                           max_size=200))
     def test_level_matches_reference(self, lines):
         ref = DictCacheLevel(8 * 64, 4, latency=1)
-        arr = CacheLevel(8 * 64, 4, latency=1)
+        arr = CacheLevel(8 * 64, 4)
         for line in lines:
             hit = ref.lookup(line)
             assert hit == (touch(arr, line) is not None)
@@ -203,9 +203,11 @@ class TestArrayCacheEquivalence:
                           max_size=200),
            mem_latency=st.sampled_from([120, 360]))
     def test_hierarchy_matches_reference(self, addrs, mem_latency):
-        geometry = dict(l1_size=8 * 64, l1_ways=4, l1_latency=1,
-                        l2_size=32 * 64, l2_ways=8, l2_latency=8)
-        ref = DictCacheHierarchy(**geometry)
+        geometry = dict(l1_size=8 * 64, l1_ways=4, l2_size=32 * 64,
+                        l2_ways=8)
+        l1_latency, l2_latency = 2, 11
+        ref = DictCacheHierarchy(**geometry, l1_latency=l1_latency,
+                                 l2_latency=l2_latency)
         arr = CacheHierarchy(**geometry)
         l1, l2 = arr.l1, arr.l2
         for addr in addrs:
@@ -213,15 +215,15 @@ class TestArrayCacheEquivalence:
             # that missed both levels installs into L2, then L1.
             line = addr >> LINE_SHIFT
             if touch(l1, line) is not None:
-                latency = l1.latency
+                latency = l1_latency
             elif touch(l2, line) is not None:
                 install(l1, line)
-                latency = l1.latency + l2.latency
+                latency = l1_latency + l2_latency
             else:
                 arr.mem_accesses += 1
                 install(l2, line)
                 install(l1, line)
-                latency = l1.latency + l2.latency + mem_latency
+                latency = l1_latency + l2_latency + mem_latency
             assert ref.access(addr, mem_latency) == latency
         assert (ref.l1.hits, ref.l1.misses) == (arr.l1.hits, arr.l1.misses)
         assert (ref.l2.hits, ref.l2.misses) == (arr.l2.hits, arr.l2.misses)

@@ -22,7 +22,7 @@ class TestCacheLevel:
 
     def test_line_count_must_divide(self):
         with pytest.raises(ValueError):
-            CacheLevel(64 * 5, 4, latency=1)
+            CacheLevel(64 * 5, 4)
 
     def test_lru_within_set(self):
         cache = DictCacheLevel(4 * LINE_SIZE, 4, latency=1)  # one set

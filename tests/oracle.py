@@ -32,6 +32,7 @@ from repro.mem.memory import NVM_FRAME_BASE
 from repro.mem.tlb import TLBEntry, TwoLevelTLB
 from repro.permissions import Perm
 from repro.pmo.heap import HEADER_SIZE, MIN_CHUNK, PoolHeap, _align_up
+from repro.sim.config import SimConfig
 
 
 class DictTLBLevel:
@@ -214,6 +215,13 @@ class ReferenceEngine(ReplayEngine):
 
     tlb_class = DictTwoLevelTLB
     cache_class = DictCacheHierarchy
+
+    def __init__(self, config: SimConfig, *args, **kwargs):
+        super().__init__(config, *args, **kwargs)
+        # The dict levels charge their own latencies: the replayed
+        # config's, which the engine charges.
+        self.caches.l1.latency = config.cache.l1_latency
+        self.caches.l2.latency = config.cache.l2_latency
 
     def _simulate(self, trace: tr.Trace,
                   marks: Optional[Sequence[int]]) -> None:
